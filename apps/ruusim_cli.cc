@@ -2,8 +2,8 @@
  * @file
  * ruusim — command-line driver for the library.
  *
- *   ruusim run <prog.s|lllNN> [--core K] [--entries N] [--buses N]
- *          [--banks N] [--load-regs N] [--counter-bits N]
+ *   ruusim run <prog.s|lllNN|suite> [--core K] [--entries N]
+ *          [--buses N] [--banks N] [--load-regs N] [--counter-bits N]
  *          [--bypass M] [--predictor P] [--ibuffers] [--stats]
  *   ruusim sweep <prog.s|lllNN|suite> [--core K] [--sizes a,b,c]
  *          [--no-prune] [--json]
@@ -34,6 +34,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -72,7 +73,7 @@ usage()
     std::fprintf(
         stderr,
         "usage:\n"
-        "  ruusim run <prog.s|lllNN> [options]\n"
+        "  ruusim run <prog.s|lllNN|suite> [options]\n"
         "  ruusim sweep <prog.s|lllNN|suite> [--core K] [--sizes "
         "a,b,c,...]\n"
         "         [--no-prune] [--json]\n"
@@ -203,15 +204,22 @@ readFile(const std::string &path)
     return text.take();
 }
 
-/** Resolve a workload argument: kernel name or assembly file. */
-std::vector<Workload>
+/**
+ * Resolve a workload argument — "suite", a kernel name or an assembly
+ * file — building only what it names. The suite is the cached one; a
+ * single kernel or program is built here and kept for the rest of the
+ * process, since every command resolves exactly one argument.
+ */
+const std::vector<Workload> &
 resolveWorkloads(const std::string &name)
 {
     if (name == "suite")
         return livermoreWorkloads();
-    for (const auto &workload : livermoreWorkloads())
-        if (workload.name == name)
-            return {workload};
+    static std::vector<Workload> named;
+    if (std::optional<Workload> kernel = livermoreWorkload(name)) {
+        named.push_back(std::move(*kernel));
+        return named;
+    }
     AsmResult assembled = assemble(readFile(name), name);
     if (!assembled.ok()) {
         for (const auto &error : assembled.errors)
@@ -236,7 +244,8 @@ resolveWorkloads(const std::string &name)
     }
     if (!workload.func.halted)
         cliFail("'%s' never reaches HALT", name.c_str());
-    return {std::move(workload)};
+    named.push_back(std::move(workload));
+    return named;
 }
 
 CoreKind
@@ -471,7 +480,7 @@ cmdRun(const Cli &cli)
 {
     if (cli.positional.size() != 1)
         usage();
-    auto workloads = resolveWorkloads(cli.positional[0]);
+    const auto &workloads = resolveWorkloads(cli.positional[0]);
     auto core = makeCore(cli.core, cli.config);
     RunOptions options;
     options.modelIBuffers = cli.ibuffers;
@@ -516,7 +525,7 @@ cmdSweep(const Cli &cli)
 {
     if (cli.positional.size() != 1)
         usage();
-    auto workloads = resolveWorkloads(cli.positional[0]);
+    const auto &workloads = resolveWorkloads(cli.positional[0]);
     par::Pool pool(cli.jobs);
     AggregateResult baseline = runSuite(
         CoreKind::Simple, UarchConfig::cray1(), workloads, &pool);
@@ -587,7 +596,7 @@ cmdAnalyze(const Cli &cli)
 {
     if (cli.positional.size() != 1)
         usage();
-    auto workloads = resolveWorkloads(cli.positional[0]);
+    const auto &workloads = resolveWorkloads(cli.positional[0]);
 
     TextTable table({"Workload", "Records", "Bound", "DepBound",
                      "Decode", "Schedule", "FU", "Bus", "Commit",
@@ -684,7 +693,7 @@ cmdVerify(const Cli &cli)
 {
     if (cli.positional.size() != 1)
         usage();
-    auto workloads = resolveWorkloads(cli.positional[0]);
+    const auto &workloads = resolveWorkloads(cli.positional[0]);
 
     par::Pool pool(cli.jobs);
     oracle::VerifyOptions options;
@@ -855,10 +864,13 @@ cmdTrace(const Cli &cli)
     }
     if (cli.positional.size() != 2)
         usage();
-    auto workloads = resolveWorkloads(cli.positional[0]);
-    if (!saveTraceFile(workloads[0].trace(), cli.positional[1]))
+    if (cli.positional[0] == "suite")
+        cliFail("trace writes one workload's trace; name a program or "
+                "a kernel, not 'suite'");
+    const Trace &trace = resolveWorkloads(cli.positional[0]).front().trace();
+    if (!saveTraceFile(trace, cli.positional[1]))
         cliFail("cannot write '%s'", cli.positional[1].c_str());
-    std::printf("wrote %zu records to %s\n", workloads[0].trace().size(),
+    std::printf("wrote %zu records to %s\n", trace.size(),
                 cli.positional[1].c_str());
     return 0;
 }
@@ -878,7 +890,7 @@ cmdStorm(const Cli &cli)
 {
     if (cli.positional.size() != 1)
         usage();
-    auto workloads = resolveWorkloads(cli.positional[0]);
+    const auto &workloads = resolveWorkloads(cli.positional[0]);
 
     std::vector<CoreKind> kinds = {CoreKind::Simple,  CoreKind::Tomasulo,
                                    CoreKind::Rstu,    CoreKind::Ruu,

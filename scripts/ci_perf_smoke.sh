@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Parallel- and cycle-engine smoke for CI.
 #
-# Two byte-identity gates, one measurement file:
+# Two byte-identity gates, one fixed-cost gate, one measurement file:
 #   1. every parallel driver must produce byte-identical output to its
 #      serial (-j1) run;
 #   2. every driver must produce byte-identical output under
 #      RUU_ENGINE=interp and RUU_ENGINE=compiled — the compiled fast
-#      path (src/engine) is only a speedup, never a semantic change.
+#      path (src/engine) is only a speedup, never a semantic change;
+#   3. a one-shot `ruusim run` of a one-instruction program and of
+#      lll01 must each stay under MAX_FIXED_RSS_MIB peak RSS, so a
+#      command that builds or copies workloads it does not name fails.
 # Wall-clocks of all runs are recorded to a BENCH_perf.json so both
 # speedups are tracked over time. Byte-identity is the gate; speed is
 # a measurement — shared CI runners cannot promise real cores, so the
@@ -98,6 +101,49 @@ echeck() {
     fi
 }
 
+# About twice the peak RSS of a run that builds only the workload it
+# names (~21 MiB: the functional and the timing run's 8 MiB memory
+# images), and a third of one that builds all 14 kernels (~143 MiB).
+MAX_FIXED_RSS_MIB=48
+
+declare -a FIXED_ROWS=()
+
+# fcheck <name> <command...>: run the command five times; record its
+# median wall-clock and largest peak RSS (wait4, as perfbench does)
+# and fail when that RSS exceeds MAX_FIXED_RSS_MIB.
+fcheck() {
+    local name=$1 measured secs rss
+    shift
+    measured=$(python3 - "$@" <<'EOF'
+import os, statistics, subprocess, sys, time
+walls, rss = [], []
+for _ in range(5):
+    start = time.perf_counter()
+    proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    walls.append(time.perf_counter() - start)
+    rss.append(usage.ru_maxrss / 1024.0)
+    if os.waitstatus_to_exitcode(status):
+        sys.exit("exit status %d" % os.waitstatus_to_exitcode(status))
+print("%.4f %.1f" % (statistics.median(walls), max(rss)))
+EOF
+    ) || { echo "$name: failed" >&2; exit 1; }
+    read -r secs rss <<< "$measured"
+    echo "  $name: ${secs}s, peak RSS ${rss} MiB"
+    FIXED_ROWS+=("{\"command\": \"$name\", \"wall_seconds\": $secs, \
+\"peak_rss_mib\": $rss}")
+    awk -v r="$rss" -v max="$MAX_FIXED_RSS_MIB" \
+        'BEGIN { exit (r + 0 <= max + 0 ? 0 : 1) }' || {
+        echo "$name: peak RSS ${rss} MiB > ${MAX_FIXED_RSS_MIB} MiB" >&2
+        exit 1
+    }
+}
+
+echo "== fixed cost: one-shot runs under ${MAX_FIXED_RSS_MIB} MiB peak RSS"
+printf '.program halt\n    halt\n' > "$WORKDIR/halt.s"
+fcheck "run halt.s --json" "$RUUSIM" run "$WORKDIR/halt.s" --json
+fcheck "run lll01 --json" "$RUUSIM" run lll01 --json
+
 echo "== pool-size sweep: -j1 vs -j$JOBS must be byte-identical"
 ss=$(timed "$WORKDIR/sweep_serial.txt" "$RUUSIM" sweep suite -j1)
 ps=$(timed "$WORKDIR/sweep_par.txt" "$RUUSIM" sweep suite -j"$JOBS")
@@ -177,6 +223,16 @@ fi
     echo "  \"jobs\": $JOBS,"
     echo "  \"inject_trials_per_sec_serial\": ${serial_tps:-0},"
     echo "  \"inject_trials_per_sec_parallel\": ${par_tps:-0},"
+    echo "  \"fixed_cost\": {"
+    echo "    \"max_peak_rss_mib\": $MAX_FIXED_RSS_MIB,"
+    echo "    \"runs\": ["
+    for i in "${!FIXED_ROWS[@]}"; do
+        sep=","
+        [ "$i" -eq $((${#FIXED_ROWS[@]} - 1)) ] && sep=""
+        echo "      ${FIXED_ROWS[$i]}$sep"
+    done
+    echo "    ]"
+    echo "  },"
     echo "  \"drivers\": ["
     for i in "${!JSON_ROWS[@]}"; do
         sep=","

@@ -3,25 +3,34 @@
 namespace ruu
 {
 
+namespace
+{
+
+/** One kernel's name and constructor. */
+struct KernelEntry
+{
+    const char *name;
+    Kernel (*make)();
+};
+
+/** The suite, in order: every kernel is built through this table. */
+constexpr KernelEntry kKernels[] = {
+    {"lll01", makeLll01}, {"lll02", makeLll02}, {"lll03", makeLll03},
+    {"lll04", makeLll04}, {"lll05", makeLll05}, {"lll06", makeLll06},
+    {"lll07", makeLll07}, {"lll08", makeLll08}, {"lll09", makeLll09},
+    {"lll10", makeLll10}, {"lll11", makeLll11}, {"lll12", makeLll12},
+    {"lll13", makeLll13}, {"lll14", makeLll14},
+};
+
+} // namespace
+
 const std::vector<Kernel> &
 livermoreKernels()
 {
     static const std::vector<Kernel> kernels = [] {
         std::vector<Kernel> all;
-        all.push_back(makeLll01());
-        all.push_back(makeLll02());
-        all.push_back(makeLll03());
-        all.push_back(makeLll04());
-        all.push_back(makeLll05());
-        all.push_back(makeLll06());
-        all.push_back(makeLll07());
-        all.push_back(makeLll08());
-        all.push_back(makeLll09());
-        all.push_back(makeLll10());
-        all.push_back(makeLll11());
-        all.push_back(makeLll12());
-        all.push_back(makeLll13());
-        all.push_back(makeLll14());
+        for (const KernelEntry &entry : kKernels)
+            all.push_back(entry.make());
         return all;
     }();
     return kernels;
@@ -37,6 +46,15 @@ livermoreWorkloads()
         return all;
     }();
     return workloads;
+}
+
+std::optional<Workload>
+livermoreWorkload(const std::string &name)
+{
+    for (const KernelEntry &entry : kKernels)
+        if (name == entry.name)
+            return makeWorkload(entry.make().program);
+    return std::nullopt;
 }
 
 } // namespace ruu

@@ -14,6 +14,7 @@
 #ifndef RUU_KERNELS_LLL_HH
 #define RUU_KERNELS_LLL_HH
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,6 +60,14 @@ const std::vector<Kernel> &livermoreKernels();
  * once and cached — the input of every paper-table bench.
  */
 const std::vector<Workload> &livermoreWorkloads();
+
+/**
+ * The workload of the one kernel named @p name ("lll01".."lll14"),
+ * built on its own — that kernel's constructor and functional run,
+ * none of the others — and owned by the caller. std::nullopt for any
+ * other name, "suite" included.
+ */
+std::optional<Workload> livermoreWorkload(const std::string &name);
 
 } // namespace ruu
 

@@ -133,6 +133,24 @@ TEST(CliErrors, TraceRoundTripValidates)
     EXPECT_EQ(runCli("trace roundtrip.trace"), 0);
 }
 
+TEST(CliErrors, TraceOfTheSuiteExitsTwo)
+{
+    REQUIRE_BINARY();
+    // A trace file holds one workload; "suite" names fourteen.
+    std::remove("suite.trace");
+    EXPECT_EQ(runCli("trace suite suite.trace"), 2);
+    EXPECT_FALSE(std::ifstream("suite.trace").good());
+}
+
+TEST(CliErrors, KernelNamesWinOverFiles)
+{
+    REQUIRE_BINARY();
+    writeFile("lll01", "this is not assembly\n");
+    EXPECT_EQ(runCli("run lll01"), 0);
+    EXPECT_EQ(runCli("run lll15"), 2);
+    std::remove("lll01");
+}
+
 TEST(CliErrors, TruncatedJsonConfigExitsTwo)
 {
     REQUIRE_BINARY();

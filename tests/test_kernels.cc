@@ -92,6 +92,44 @@ TEST(KernelSuite, WorkloadsAreCachedAndConsistent)
     EXPECT_LT(total, 200000u);
 }
 
+TEST(KernelSuite, SingleKernelLookupBuildsTheSuiteWorkload)
+{
+    const auto &suite = livermoreWorkloads();
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+        const Workload &want = suite[i];
+        std::optional<Workload> got = livermoreWorkload(want.name);
+        ASSERT_TRUE(got.has_value()) << want.name;
+        EXPECT_EQ(got->name, want.name);
+
+        const Program &gp = *got->program, &wp = *want.program;
+        EXPECT_EQ(gp.name(), wp.name());
+        EXPECT_EQ(gp.instructions(), wp.instructions()) << want.name;
+        EXPECT_EQ(gp.listing(), wp.listing()) << want.name;
+        ASSERT_EQ(gp.dataInits().size(), wp.dataInits().size());
+        for (std::size_t d = 0; d < gp.dataInits().size(); ++d) {
+            EXPECT_EQ(gp.dataInits()[d].addr, wp.dataInits()[d].addr);
+            EXPECT_EQ(gp.dataInits()[d].value, wp.dataInits()[d].value);
+        }
+
+        ASSERT_EQ(got->trace().size(), want.trace().size()) << want.name;
+        for (SeqNum seq = 0; seq < want.trace().size(); ++seq) {
+            const TraceRecord &a = got->trace().at(seq);
+            const TraceRecord &b = want.trace().at(seq);
+            ASSERT_TRUE(a.inst == b.inst && a.staticIndex == b.staticIndex &&
+                        a.pc == b.pc && a.memAddr == b.memAddr &&
+                        a.result == b.result &&
+                        a.storeValue == b.storeValue &&
+                        a.taken == b.taken && a.fault == b.fault)
+                << want.name << " record " << seq;
+        }
+        EXPECT_EQ(got->func.finalState, want.func.finalState) << want.name;
+        EXPECT_TRUE(got->func.finalMemory == want.func.finalMemory)
+            << want.name;
+    }
+    for (const char *name : {"suite", "lll00", "lll15", "LLL01", "lll1", ""})
+        EXPECT_FALSE(livermoreWorkload(name).has_value()) << name;
+}
+
 TEST(KernelSuite, RegisterFileDiversity)
 {
     // The suite must exercise the B and T register files — the paper's
