@@ -126,7 +126,6 @@ usage()
         "  --trials N        inject: campaign trial count (default "
         "1000)\n"
         "  --seed S          inject: campaign seed (default 1)\n"
-        "  --journal FILE    inject: JSONL journal to stream/resume\n"
         "  --timeout-ms N    inject: per-trial wall-clock watchdog "
         "(default 10000)\n"
         "  --stop-after K    inject: stop after K new trials (exit 3)\n"

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Fault-injection smoke for CI: a small seeded campaign must complete
 # with every trial classified, survive a mid-campaign stop, resume from
-# its journal to the exact same per-trial records, and replay a single
-# trial bit-identically to its journal line.
+# its journal (also from a torn or unterminated last line) to the exact
+# same per-trial records, and replay a single trial bit-identically to
+# its journal line.
 #
 #   usage: scripts/ci_inject_smoke.sh <ruusim-binary> [workdir]
 #
@@ -48,12 +49,21 @@ if [ "$status" -ne 3 ]; then
     echo "--stop-after should exit 3, got $status" >&2
     exit 1
 fi
-run_inject --journal "$WORKDIR/split.jsonl" >/dev/null
-if ! cmp -s "$WORKDIR/full.jsonl" "$WORKDIR/split.jsonl"; then
-    echo "resumed journal differs from the uninterrupted one" >&2
-    diff "$WORKDIR/full.jsonl" "$WORKDIR/split.jsonl" | head >&2
-    exit 1
-fi
+# Two damaged copies of the split journal, as a kill mid-append leaves
+# them: half a trial line after the last record, and a last record
+# whose '\n' never landed. Both must resume to the same journal.
+half_line=$(sed -n '2p' "$WORKDIR/split.jsonl")
+cp "$WORKDIR/split.jsonl" "$WORKDIR/torn.jsonl"
+printf '%s' "${half_line:0:$((${#half_line} / 2))}" >> "$WORKDIR/torn.jsonl"
+head -c -1 "$WORKDIR/split.jsonl" > "$WORKDIR/unterminated.jsonl"
+for journal in split torn unterminated; do
+    run_inject --journal "$WORKDIR/$journal.jsonl" >/dev/null
+    if ! cmp -s "$WORKDIR/full.jsonl" "$WORKDIR/$journal.jsonl"; then
+        echo "resumed $journal journal differs from the uninterrupted one" >&2
+        diff "$WORKDIR/full.jsonl" "$WORKDIR/$journal.jsonl" | head >&2
+        exit 1
+    fi
+done
 
 echo "== single-trial replay matches its journal record"
 replay_index=$((TRIALS / 3))

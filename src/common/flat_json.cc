@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <sstream>
 
 namespace ruu::flat
 {
@@ -232,6 +233,84 @@ optString(const Object &object, const std::string &key)
     if (it == object.end() || !it->second.isString)
         return std::nullopt;
     return it->second.text;
+}
+
+Expected<std::uint64_t>
+getHexKey(const Object &object, const std::string &key)
+{
+    auto text = getString(object, key);
+    if (!text)
+        return text.error();
+    if (text->size() != 16)
+        return Error("key '" + key + "' is not a 16-hex-digit value");
+    std::uint64_t value = 0;
+    for (char c : *text) {
+        value <<= 4;
+        if (c >= '0' && c <= '9')
+            value |= static_cast<std::uint64_t>(c - '0');
+        else if (c >= 'a' && c <= 'f')
+            value |= static_cast<std::uint64_t>(c - 'a' + 10);
+        else
+            return Error("key '" + key + "' has a non-hex digit");
+    }
+    return value;
+}
+
+std::vector<std::string>
+splitCommas(const std::string &joined)
+{
+    std::vector<std::string> out;
+    std::string item;
+    std::istringstream in(joined);
+    while (std::getline(in, item, ','))
+        if (!item.empty())
+            out.push_back(item);
+    return out;
+}
+
+Expected<std::vector<std::uint64_t>>
+splitNumbers(const std::string &joined)
+{
+    std::vector<std::uint64_t> out;
+    for (const std::string &item : splitCommas(joined)) {
+        std::uint64_t value = 0;
+        for (char c : item) {
+            if (c < '0' || c > '9')
+                return Error("'" + item + "' is not an unsigned integer");
+            value = value * 10 + static_cast<std::uint64_t>(c - '0');
+        }
+        out.push_back(value);
+    }
+    return out;
+}
+
+std::string
+joinCommas(const std::vector<std::string> &items)
+{
+    std::string out;
+    for (const std::string &item : items) {
+        if (!out.empty())
+            out += ',';
+        out += item;
+    }
+    return out;
+}
+
+std::string
+joinNumbers(const std::vector<std::uint64_t> &items)
+{
+    std::vector<std::string> spelled;
+    for (std::uint64_t item : items)
+        spelled.push_back(std::to_string(item));
+    return joinCommas(spelled);
+}
+
+Fields::Fields(const std::string &line)
+{
+    if (auto object = parseObject(line))
+        _object = object.take();
+    else
+        _error = object.error();
 }
 
 } // namespace ruu::flat

@@ -108,7 +108,7 @@ HistoryCore::runLoop(const Trace &trace, const RunOptions &options,
         for (unsigned i = 0; i < pool_size; ++i)
             inject::exposeInflightOp(
                 fault_ports, "pool[" + std::to_string(i) + "]",
-                pool[i]);
+                pool[i], records.size());
         for (unsigned i = 0; i < hb_size; ++i) {
             std::string name = "hb[" + std::to_string(i) + "]";
             HistoryEntry &h = hb[i];

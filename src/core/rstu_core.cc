@@ -93,7 +93,7 @@ RstuCore::runLoop(const Trace &trace, const RunOptions &options,
         for (unsigned i = 0; i < pool_size; ++i) {
             std::string name = "rstu[" + std::to_string(i) + "]";
             inject::exposeInflightOp(fault_ports, name, pool[i],
-                                     pool_size);
+                                     records.size(), pool_size);
             fault_ports.addFlag(name + ".latestCopy",
                                 pool[i].latestCopy);
         }

@@ -95,7 +95,8 @@ RuuCore::runLoop(const Trace &trace, const RunOptions &options,
     if (options.tap) {
         for (unsigned i = 0; i < ruu_size; ++i)
             inject::exposeInflightOp(
-                fault_ports, "ruu[" + std::to_string(i) + "]", ruu[i]);
+                fault_ports, "ruu[" + std::to_string(i) + "]", ruu[i],
+                records.size());
         inject::exposeCursor(fault_ports, "head", head, ruu_size);
         inject::exposeCursor(fault_ports, "tail", tail, ruu_size);
         inject::exposeCursor(fault_ports, "count", count, ruu_size + 1);

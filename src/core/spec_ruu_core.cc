@@ -111,7 +111,8 @@ SpecRuuCore::runLoop(const Trace &trace, const RunOptions &options,
         for (unsigned i = 0; i < ruu_size; ++i) {
             SpecEntry &e = ruu[i];
             std::string name = "ruu[" + std::to_string(i) + "]";
-            inject::exposeInflightOp(fault_ports, name, e);
+            inject::exposeInflightOp(fault_ports, name, e,
+                                     records.size());
             fault_ports.add(name + ".issueId",
                             inject::PortClass::Sequence, e.issueId,
                             32);

@@ -113,7 +113,7 @@ TomasuloCore::runLoop(const Trace &trace, const RunOptions &options,
                     std::string("rs.") +
                         fuKindName(static_cast<FuKind>(k)) + "[" +
                         std::to_string(i) + "]",
-                    pool[i], _config.tuEntries);
+                    pool[i], records.size(), _config.tuEntries);
         }
         for (unsigned i = 0; i < tu.size(); ++i) {
             std::string name = "tu[" + std::to_string(i) + "]";

@@ -1,14 +1,9 @@
 #include "inject/campaign.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <fstream>
-#include <sstream>
-
-#include <unistd.h>
 
 #include "arch/executor.hh"
 #include "inject/sandbox.hh"
@@ -405,26 +400,13 @@ runCampaign(const CampaignOptions &options)
     std::vector<TrialResult> results(options.trials);
 
     JournalWriter writer;
-    bool journalExists = false;
-    if (!options.journalPath.empty()) {
-        std::ifstream probe_stream(options.journalPath);
-        journalExists = probe_stream.good();
-    }
-    if (journalExists) {
-        auto journal = readJournal(options.journalPath);
-        if (!journal)
-            return Error(journal.error()).context("resume");
-        const JournalHeader &h = journal->header;
-        if (h.seed != summary.header.seed ||
-            h.trials != summary.header.trials ||
-            h.cores != summary.header.cores ||
-            h.workloads != summary.header.workloads ||
-            h.config != summary.header.config)
+    auto replay = [&](const JournalContents &journal) -> Expected<bool> {
+        if (journal.header != summary.header)
             return Error("journal '" + options.journalPath +
                          "' describes a different campaign (seed, "
                          "trials, cores, workloads, or configuration "
                          "differ)");
-        for (const TrialResult &trial : journal->trials) {
+        for (const TrialResult &trial : journal.records) {
             if (trial.point.index >= options.trials)
                 return Error("journal '" + options.journalPath +
                              "' has out-of-range trial index " +
@@ -434,20 +416,13 @@ runCampaign(const CampaignOptions &options)
             done[trial.point.index] = true;
             results[trial.point.index] = trial;
         }
-        if (journal->tornTail &&
-            ::truncate(options.journalPath.c_str(),
-                       static_cast<off_t>(journal->validBytes)) != 0)
-            return Error("cannot drop the torn tail of journal '" +
-                         options.journalPath + "': " +
-                         std::strerror(errno));
-        if (auto opened = writer.append(options.journalPath); !opened)
+        return true;
+    };
+    if (!options.journalPath.empty())
+        if (auto opened =
+                writer.open(options.journalPath, summary.header, replay);
+            !opened)
             return opened.error();
-    } else if (!options.journalPath.empty()) {
-        if (auto created =
-                writer.create(options.journalPath, summary.header);
-            !created)
-            return created.error();
-    }
 
     TrialSampler sampler(options);
     auto start = std::chrono::steady_clock::now();

@@ -1,51 +1,11 @@
 #include "inject/journal.hh"
 
-#include <fstream>
 #include <sstream>
-
-#include "common/file.hh"
-#include "common/flat_json.hh"
 
 namespace ruu::inject
 {
 
-namespace
-{
-
-const char *const kJournalKind = "ruu-inject-journal";
-
-// The flat one-line JSON grammar (one object per line, string and
-// unsigned-integer values only) lives in common/flat_json.hh; the
-// journal format pinned it and the serve subsystem shares it.
 using flat::escape;
-using flat::getNumber;
-using flat::getString;
-
-std::vector<std::string>
-splitCommas(const std::string &joined)
-{
-    std::vector<std::string> out;
-    std::string item;
-    std::istringstream in(joined);
-    while (std::getline(in, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-std::string
-joinCommas(const std::vector<std::string> &items)
-{
-    std::string out;
-    for (const std::string &item : items) {
-        if (!out.empty())
-            out += ',';
-        out += item;
-    }
-    return out;
-}
-
-} // namespace
 
 const char *
 outcomeName(Outcome outcome)
@@ -74,19 +34,32 @@ outcomeFromName(const std::string &name)
 }
 
 std::string
-headerToLine(const JournalHeader &header)
+JournalFormat::headerFields(const JournalHeader &header)
 {
     std::ostringstream os;
-    os << "{\"kind\": \"" << kJournalKind << "\""
-       << ", \"version\": " << header.version
-       << ", \"seed\": " << header.seed
+    os << ", \"seed\": " << header.seed
        << ", \"trials\": " << header.trials
-       << ", \"cores\": \"" << escape(joinCommas(header.cores))
+       << ", \"cores\": \"" << escape(flat::joinCommas(header.cores))
        << "\""
        << ", \"workloads\": \""
-       << escape(joinCommas(header.workloads)) << "\""
-       << ", \"config\": \"" << escape(header.config) << "\"}";
+       << escape(flat::joinCommas(header.workloads)) << "\""
+       << ", \"config\": \"" << escape(header.config) << "\"";
     return os.str();
+}
+
+Expected<JournalHeader>
+JournalFormat::parseHeader(const flat::Object &object)
+{
+    flat::Fields in(object);
+    JournalHeader header;
+    header.seed = in.number("seed");
+    header.trials = in.number("trials");
+    header.cores = in.list("cores");
+    header.workloads = in.list("workloads");
+    header.config = in.string("config");
+    if (const Error *e = in.error())
+        return *e;
+    return header;
 }
 
 std::string
@@ -110,191 +83,31 @@ trialToLine(const TrialResult &trial)
     return os.str();
 }
 
-Expected<JournalHeader>
-parseHeaderLine(const std::string &line)
-{
-    auto object = flat::parseObject(line);
-    if (!object)
-        return Error(object.error()).context("journal header");
-    auto kind = getString(*object, "kind");
-    if (!kind)
-        return Error(kind.error()).context("journal header");
-    if (*kind != kJournalKind)
-        return Error("journal header: kind '" + *kind + "' is not '" +
-                     kJournalKind + "'");
-    JournalHeader header;
-    auto version = getNumber(*object, "version");
-    auto seed = getNumber(*object, "seed");
-    auto trials = getNumber(*object, "trials");
-    auto cores = getString(*object, "cores");
-    auto workloads = getString(*object, "workloads");
-    auto config = getString(*object, "config");
-    for (const Error *e :
-         {version.errorOrNull(), seed.errorOrNull(), trials.errorOrNull(),
-          cores.errorOrNull(), workloads.errorOrNull(),
-          config.errorOrNull()})
-        if (e)
-            return Error(e->message()).context("journal header");
-    if (*version != 1)
-        return Error("journal header: unsupported version " +
-                     std::to_string(*version));
-    header.version = *version;
-    header.seed = *seed;
-    header.trials = *trials;
-    header.cores = splitCommas(*cores);
-    header.workloads = splitCommas(*workloads);
-    header.config = *config;
-    return header;
-}
-
 Expected<TrialResult>
 parseTrialLine(const std::string &line)
 {
-    auto object = flat::parseObject(line);
-    if (!object)
-        return object.error();
+    flat::Fields in(line);
     TrialResult trial;
-    auto index = getNumber(*object, "index");
-    auto seed = getNumber(*object, "seed");
-    auto core = getString(*object, "core");
-    auto workload = getString(*object, "workload");
-    auto cycle = getNumber(*object, "cycle");
-    auto bit = getNumber(*object, "bit");
-    auto port = getString(*object, "port");
-    auto before = getNumber(*object, "before");
-    auto after = getNumber(*object, "after");
-    auto outcome = getString(*object, "outcome");
-    auto cycles = getNumber(*object, "cycles");
-    auto retries = getNumber(*object, "retries");
-    auto detail = getString(*object, "detail");
-    for (const Error *e :
-         {index.errorOrNull(), seed.errorOrNull(), core.errorOrNull(),
-          workload.errorOrNull(), cycle.errorOrNull(), bit.errorOrNull(),
-          port.errorOrNull(), before.errorOrNull(), after.errorOrNull(),
-          outcome.errorOrNull(), cycles.errorOrNull(),
-          retries.errorOrNull(), detail.errorOrNull()})
-        if (e)
-            return Error(e->message());
-    auto parsed = outcomeFromName(*outcome);
+    trial.point.index = in.number("index");
+    trial.point.seed = in.number("seed");
+    trial.point.core = in.string("core");
+    trial.point.workload = in.string("workload");
+    trial.point.cycle = in.number("cycle");
+    trial.point.bit = in.number("bit");
+    trial.port = in.string("port");
+    trial.before = in.number("before");
+    trial.after = in.number("after");
+    std::string outcome = in.string("outcome");
+    trial.cycles = in.number("cycles");
+    trial.retries = in.number("retries");
+    trial.detail = in.string("detail");
+    if (const Error *e = in.error())
+        return *e;
+    auto parsed = outcomeFromName(outcome);
     if (!parsed)
         return parsed.error();
-    trial.point.index = *index;
-    trial.point.seed = *seed;
-    trial.point.core = *core;
-    trial.point.workload = *workload;
-    trial.point.cycle = *cycle;
-    trial.point.bit = *bit;
-    trial.port = *port;
-    trial.before = *before;
-    trial.after = *after;
     trial.outcome = *parsed;
-    trial.cycles = *cycles;
-    trial.retries = *retries;
-    trial.detail = *detail;
     return trial;
-}
-
-Expected<JournalContents>
-readJournal(const std::string &path)
-{
-    auto text = readTextFile(path);
-    if (!text)
-        return Error(text.error()).context("journal");
-    JournalContents contents;
-    contents.validBytes = text->size();
-    std::size_t lineNo = 0;
-    bool sawHeader = false;
-    struct RawLine
-    {
-        std::size_t number;
-        std::size_t start;
-        std::string text;
-    };
-    // Collect raw trial lines first so "last line" is well defined
-    // even with trailing blank lines.
-    std::vector<RawLine> trialLines;
-    std::size_t pos = 0;
-    while (pos < text->size()) {
-        std::size_t eol = text->find('\n', pos);
-        std::size_t end = eol == std::string::npos ? text->size() : eol;
-        std::string line = text->substr(pos, end - pos);
-        std::size_t start = pos;
-        pos = eol == std::string::npos ? text->size() : eol + 1;
-        ++lineNo;
-        if (line.empty())
-            continue;
-        if (!sawHeader) {
-            auto header = parseHeaderLine(line);
-            if (!header)
-                return Error(header.error())
-                    .context("'" + path + "' line " +
-                             std::to_string(lineNo));
-            contents.header = *header;
-            sawHeader = true;
-            continue;
-        }
-        trialLines.push_back({lineNo, start, std::move(line)});
-    }
-    if (!sawHeader)
-        return Error("journal '" + path + "' has no header line");
-    for (std::size_t i = 0; i < trialLines.size(); ++i) {
-        auto trial = parseTrialLine(trialLines[i].text);
-        if (!trial) {
-            if (i + 1 == trialLines.size()) {
-                // A torn final line is the expected signature of a
-                // campaign killed mid-write; drop it and resume.
-                contents.tornTail = true;
-                contents.validBytes = trialLines[i].start;
-                break;
-            }
-            return Error(trial.error())
-                .context("'" + path + "' line " +
-                         std::to_string(trialLines[i].number));
-        }
-        contents.trials.push_back(*trial);
-    }
-    return contents;
-}
-
-Expected<bool>
-JournalWriter::create(const std::string &path, const JournalHeader &header)
-{
-    if (auto opened = _file.create(path); !opened)
-        return Error(opened.error()).context("journal");
-    if (auto wrote = _file.appendLine(headerToLine(header)); !wrote)
-        return Error(wrote.error()).context("journal");
-    return true;
-}
-
-Expected<bool>
-JournalWriter::append(const std::string &path)
-{
-    // A SIGKILLed campaign can leave a torn, newline-less final line;
-    // start appends on a fresh line so the fragment stays isolated.
-    bool needsNewline = false;
-    {
-        std::ifstream in(path, std::ios::binary | std::ios::ate);
-        if (in && in.tellg() > 0) {
-            in.seekg(-1, std::ios::end);
-            needsNewline = in.get() != '\n';
-        }
-    }
-    if (auto opened = _file.append(path); !opened)
-        return Error(opened.error()).context("journal");
-    if (needsNewline)
-        if (auto isolated = _file.appendText("\n"); !isolated)
-            return Error(isolated.error()).context("journal");
-    return true;
-}
-
-Expected<bool>
-JournalWriter::add(const TrialResult &trial)
-{
-    if (!_file.isOpen())
-        return Error("journal writer is not open");
-    if (auto wrote = _file.appendLine(trialToLine(trial)); !wrote)
-        return Error(wrote.error()).context("journal");
-    return true;
 }
 
 } // namespace ruu::inject

@@ -5,8 +5,7 @@
  * A fault-injection campaign streams one line per finished trial to a
  * journal file so a killed campaign can resume where it stopped. The
  * format is deliberately flat — one JSON object per line, values only
- * strings and unsigned integers — so the reader below can parse it
- * without a JSON dependency:
+ * strings and unsigned integers (common/flat_json.hh):
  *
  *   line 1:  header   {"kind": "ruu-inject-journal", "version": 1,
  *                      "seed": ..., "trials": ..., "cores": "a,b",
@@ -17,10 +16,8 @@
  *                      "outcome": ..., "cycles": ..., "retries": ...,
  *                      "detail": ...}
  *
- * Torn writes happen (the campaign may be SIGKILLed mid-line), so a
- * malformed LAST line is tolerated and reported via
- * JournalContents::tornTail; a malformed line anywhere else is data
- * corruption and a hard error.
+ * Reading, torn-tail tolerance and resume are common/journal.hh's;
+ * this file holds only the format's grammar.
  */
 
 #ifndef RUU_INJECT_JOURNAL_HH
@@ -31,7 +28,7 @@
 #include <vector>
 
 #include "common/error.hh"
-#include "common/io_faults.hh"
+#include "common/journal.hh"
 #include "common/types.hh"
 
 namespace ruu::inject
@@ -87,71 +84,36 @@ struct TrialResult
 /** Campaign identity, pinned in the journal's first line. */
 struct JournalHeader
 {
-    std::uint64_t version = 1;
     std::uint64_t seed = 0;
     std::uint64_t trials = 0;
     std::vector<std::string> cores;
     std::vector<std::string> workloads;
     std::string config; //!< uarch-config signature string
-};
 
-/** A fully parsed journal. */
-struct JournalContents
-{
-    JournalHeader header;
-    std::vector<TrialResult> trials;
-    bool tornTail = false; //!< last line was incomplete and dropped
-    /**
-     * Byte extent of the valid prefix: everything past this offset is
-     * the torn fragment. A resuming writer truncates to here before
-     * appending, so the fragment can never resurface as a (hard-error)
-     * interior line.
-     */
-    std::size_t validBytes = 0;
+    bool operator==(const JournalHeader &) const = default;
 };
-
-/** Serialize @p header as its one-line JSON form (no newline). */
-std::string headerToLine(const JournalHeader &header);
 
 /** Serialize @p trial as its one-line JSON form (no newline). */
 std::string trialToLine(const TrialResult &trial);
 
-/** Parse one header line. */
-Expected<JournalHeader> parseHeaderLine(const std::string &line);
-
 /** Parse one trial line. */
 Expected<TrialResult> parseTrialLine(const std::string &line);
 
-/**
- * Read and validate a whole journal file. Tolerates a torn final
- * line; rejects a missing/invalid header or a malformed interior line
- * (with its line number).
- */
-Expected<JournalContents> readJournal(const std::string &path);
-
-/**
- * Line-buffered journal writer. Every append writes one full line and
- * flushes, so the journal loses at most the trial in flight when the
- * process dies.
- */
-class JournalWriter
+/** The campaign journal's grammar (common/journal.hh). */
+struct JournalFormat
 {
-  public:
-    /** Create @p path (truncating) and write the header line. */
-    Expected<bool> create(const std::string &path,
-                          const JournalHeader &header);
-
-    /** Open @p path for appending trial lines after a resume. */
-    Expected<bool> append(const std::string &path);
-
-    /** Append one trial line, durable (fsynced) before returning. */
-    Expected<bool> add(const TrialResult &trial);
-
-    bool isOpen() const { return _file.isOpen(); }
-
-  private:
-    io::AppendFile _file;
+    using Header = JournalHeader;
+    using Record = TrialResult;
+    static constexpr const char *kKind = "ruu-inject-journal";
+    static constexpr const char *kNoun = "journal";
+    static std::string headerFields(const JournalHeader &header);
+    static Expected<JournalHeader> parseHeader(const flat::Object &object);
+    static constexpr auto toLine = trialToLine;
+    static constexpr auto fromLine = parseTrialLine;
 };
+
+using JournalContents = journal::Contents<JournalFormat>;
+using JournalWriter = journal::Writer<JournalFormat>;
 
 } // namespace ruu::inject
 

@@ -22,6 +22,8 @@ namespace ruu::inject
 
 /**
  * Register the flippable fields of one reservation-station entry.
+ * The entry's sequence number indexes the trace (its decoded FU and
+ * halt flag are looked up by it), so it wraps to @p trace_length.
  * @p dest_tag_wrap is nonzero for cores whose destination tag indexes
  * a structure (the Tomasulo Tag Unit): a flipped tag then lands on a
  * real slot instead of outside the array. The `rec` pointer and the
@@ -29,10 +31,12 @@ namespace ruu::inject
  */
 inline void
 exposeInflightOp(FaultPortSet &ports, const std::string &prefix,
-                 InflightOp &op, std::uint64_t dest_tag_wrap = 0)
+                 InflightOp &op, std::uint64_t trace_length,
+                 std::uint64_t dest_tag_wrap = 0)
 {
     ports.addFlag(prefix + ".valid", op.valid);
-    ports.add(prefix + ".seq", PortClass::Sequence, op.seq, 32);
+    ports.add(prefix + ".seq", PortClass::Sequence, op.seq, 32,
+              trace_length);
     ports.add(prefix + ".destTag", PortClass::Tag, op.destTag, 32,
               dest_tag_wrap);
     for (unsigned s = 0; s < 2; ++s) {

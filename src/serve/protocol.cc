@@ -5,63 +5,6 @@
 namespace ruu::serve
 {
 
-namespace
-{
-
-std::vector<std::string>
-splitCommas(const std::string &joined)
-{
-    std::vector<std::string> out;
-    std::string item;
-    std::istringstream in(joined);
-    while (std::getline(in, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-std::string
-joinCommas(const std::vector<std::string> &items)
-{
-    std::string out;
-    for (const std::string &item : items) {
-        if (!out.empty())
-            out += ',';
-        out += item;
-    }
-    return out;
-}
-
-std::string
-joinNumbers(const std::vector<std::uint64_t> &items)
-{
-    std::string out;
-    for (std::uint64_t item : items) {
-        if (!out.empty())
-            out += ',';
-        out += std::to_string(item);
-    }
-    return out;
-}
-
-Expected<std::vector<std::uint64_t>>
-splitNumbers(const std::string &joined)
-{
-    std::vector<std::uint64_t> out;
-    for (const std::string &item : splitCommas(joined)) {
-        std::uint64_t value = 0;
-        for (char c : item) {
-            if (c < '0' || c > '9')
-                return Error("'" + item + "' is not an unsigned integer");
-            value = value * 10 + static_cast<std::uint64_t>(c - '0');
-        }
-        out.push_back(value);
-    }
-    return out;
-}
-
-} // namespace
-
 const char *
 opName(Op op)
 {
@@ -171,11 +114,11 @@ parseRequest(const std::string &line)
                 spec.kind = *kind;
                 sawKind = true;
             } else if (key == "workloads" && value.isString) {
-                spec.workloads = splitCommas(value.text);
+                spec.workloads = flat::splitCommas(value.text);
             } else if (key == "cores" && value.isString) {
-                spec.cores = splitCommas(value.text);
+                spec.cores = flat::splitCommas(value.text);
             } else if (key == "periods" && value.isString) {
-                auto periods = splitNumbers(value.text);
+                auto periods = flat::splitNumbers(value.text);
                 if (!periods)
                     return Error(periods.error())
                         .context("request: \"periods\"");
@@ -286,11 +229,11 @@ requestToLine(const Request &request)
         os << ", \"id\": \"" << flat::escape(spec.id) << "\""
            << ", \"kind\": \"" << campaignKindName(spec.kind) << "\""
            << ", \"workloads\": \""
-           << flat::escape(joinCommas(spec.workloads)) << "\""
-           << ", \"cores\": \"" << flat::escape(joinCommas(spec.cores))
-           << "\"";
+           << flat::escape(flat::joinCommas(spec.workloads)) << "\""
+           << ", \"cores\": \""
+           << flat::escape(flat::joinCommas(spec.cores)) << "\"";
         if (!spec.periods.empty())
-            os << ", \"periods\": \"" << joinNumbers(spec.periods)
+            os << ", \"periods\": \"" << flat::joinNumbers(spec.periods)
                << "\"";
         if (spec.trials)
             os << ", \"trials\": " << spec.trials;

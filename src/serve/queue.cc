@@ -2,9 +2,6 @@
 
 #include <sstream>
 
-#include <sys/stat.h>
-
-#include "common/file.hh"
 #include "common/flat_json.hh"
 #include "serve/cache.hh"
 
@@ -13,82 +10,6 @@ namespace ruu::serve
 
 namespace
 {
-
-const char *const kQueueKind = "ruu-serve-queue";
-
-std::string
-joinCommas(const std::vector<std::string> &items)
-{
-    std::string out;
-    for (const std::string &item : items) {
-        if (!out.empty())
-            out += ',';
-        out += item;
-    }
-    return out;
-}
-
-std::string
-joinNumbers(const std::vector<std::uint64_t> &items)
-{
-    std::string out;
-    for (std::uint64_t item : items) {
-        if (!out.empty())
-            out += ',';
-        out += std::to_string(item);
-    }
-    return out;
-}
-
-std::vector<std::string>
-splitCommas(const std::string &joined)
-{
-    std::vector<std::string> out;
-    std::string item;
-    std::istringstream in(joined);
-    while (std::getline(in, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-Expected<std::vector<std::uint64_t>>
-splitNumbers(const std::string &joined)
-{
-    std::vector<std::uint64_t> out;
-    for (const std::string &item : splitCommas(joined)) {
-        std::uint64_t value = 0;
-        for (char c : item) {
-            if (c < '0' || c > '9')
-                return Error("'" + item +
-                             "' is not an unsigned integer");
-            value = value * 10 + static_cast<std::uint64_t>(c - '0');
-        }
-        out.push_back(value);
-    }
-    return out;
-}
-
-Expected<std::uint64_t>
-getHexKey(const flat::Object &object, const std::string &key)
-{
-    auto text = flat::getString(object, key);
-    if (!text)
-        return text.error();
-    if (text->size() != 16)
-        return Error("key '" + key + "' is not a 16-hex-digit value");
-    std::uint64_t value = 0;
-    for (char c : *text) {
-        value <<= 4;
-        if (c >= '0' && c <= '9')
-            value |= static_cast<std::uint64_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            value |= static_cast<std::uint64_t>(c - 'a' + 10);
-        else
-            return Error("key '" + key + "' has a non-hex digit");
-    }
-    return value;
-}
 
 Expected<JobStatus>
 jobStatusFromName(const std::string &name)
@@ -172,16 +93,6 @@ unitPhaseName(UnitPhase phase)
 }
 
 std::string
-queueHeaderToLine(const QueueHeader &header)
-{
-    std::ostringstream os;
-    os << "{\"kind\": \"" << kQueueKind << "\""
-       << ", \"version\": " << header.version
-       << ", \"cache\": \"" << flat::escape(header.cacheDir) << "\"}";
-    return os.str();
-}
-
-std::string
 queueRecordToLine(const QueueRecord &record)
 {
     std::ostringstream os;
@@ -192,10 +103,11 @@ queueRecordToLine(const QueueRecord &record)
            << ", \"id\": \"" << flat::escape(spec.id) << "\""
            << ", \"ckind\": \"" << campaignKindName(spec.kind) << "\""
            << ", \"workloads\": \""
-           << flat::escape(joinCommas(spec.workloads)) << "\""
+           << flat::escape(flat::joinCommas(spec.workloads)) << "\""
            << ", \"cores\": \""
-           << flat::escape(joinCommas(spec.cores)) << "\""
-           << ", \"periods\": \"" << joinNumbers(spec.periods) << "\""
+           << flat::escape(flat::joinCommas(spec.cores)) << "\""
+           << ", \"periods\": \"" << flat::joinNumbers(spec.periods)
+           << "\""
            << ", \"trials\": " << spec.trials
            << ", \"seed\": " << spec.seed
            << ", \"config\": \"" << flat::escape(spec.configJson)
@@ -223,176 +135,59 @@ queueRecordToLine(const QueueRecord &record)
     return os.str();
 }
 
-Expected<QueueHeader>
-parseQueueHeaderLine(const std::string &line)
-{
-    auto object = flat::parseObject(line);
-    if (!object)
-        return Error(object.error()).context("queue journal header");
-    auto kind = flat::getString(*object, "kind");
-    if (!kind)
-        return Error(kind.error()).context("queue journal header");
-    if (*kind != kQueueKind)
-        return Error("queue journal header: kind '" + *kind +
-                     "' is not '" + kQueueKind + "'");
-    auto version = flat::getNumber(*object, "version");
-    auto cache = flat::getString(*object, "cache");
-    for (const Error *e : {version.errorOrNull(), cache.errorOrNull()})
-        if (e)
-            return Error(e->message()).context("queue journal header");
-    if (*version != 1)
-        return Error("queue journal header: unsupported version " +
-                     std::to_string(*version));
-    QueueHeader header;
-    header.version = *version;
-    header.cacheDir = *cache;
-    return header;
-}
-
 Expected<QueueRecord>
 parseQueueRecordLine(const std::string &line)
 {
-    auto object = flat::parseObject(line);
-    if (!object)
-        return object.error();
-    auto rec = flat::getString(*object, "rec");
-    if (!rec)
-        return rec.error();
+    flat::Fields in(line);
+    std::string rec = in.string("rec");
+    if (const Error *e = in.error())
+        return *e;
     QueueRecord record;
-    if (*rec == "campaign") {
-        record.type = QueueRecord::Type::Campaign;
+    if (rec == "campaign") {
         CampaignSpec &spec = record.campaign;
-        auto id = flat::getString(*object, "id");
-        auto ckind = flat::getString(*object, "ckind");
-        auto workloads = flat::getString(*object, "workloads");
-        auto cores = flat::getString(*object, "cores");
-        auto periods = flat::getString(*object, "periods");
-        auto trials = flat::getNumber(*object, "trials");
-        auto seed = flat::getNumber(*object, "seed");
-        auto config = flat::getString(*object, "config");
-        auto deadline = flat::getNumber(*object, "deadline_ms");
-        for (const Error *e :
-             {id.errorOrNull(), ckind.errorOrNull(),
-              workloads.errorOrNull(), cores.errorOrNull(),
-              periods.errorOrNull(), trials.errorOrNull(),
-              seed.errorOrNull(), config.errorOrNull(),
-              deadline.errorOrNull()})
-            if (e)
-                return Error(e->message());
-        auto kind = campaignKindFromName(*ckind);
-        if (!kind)
-            return kind.error();
-        auto periodList = splitNumbers(*periods);
-        if (!periodList)
-            return periodList.error();
-        spec.id = *id;
-        spec.kind = *kind;
-        spec.workloads = splitCommas(*workloads);
-        spec.cores = splitCommas(*cores);
-        spec.periods = *periodList;
-        spec.trials = *trials;
-        spec.seed = *seed;
-        spec.configJson = *config;
-        spec.deadlineMs = *deadline;
-        return record;
-    }
-    if (*rec == "unit") {
-        record.type = QueueRecord::Type::Unit;
-        auto id = flat::getString(*object, "id");
-        auto unit = flat::getNumber(*object, "unit");
-        auto status = flat::getString(*object, "status");
-        auto cached = flat::getNumber(*object, "cached");
-        auto key = getHexKey(*object, "key");
-        auto checksum = getHexKey(*object, "checksum");
-        auto bytes = flat::getNumber(*object, "bytes");
-        auto error = flat::getString(*object, "error");
-        for (const Error *e :
-             {id.errorOrNull(), unit.errorOrNull(),
-              status.errorOrNull(), cached.errorOrNull(),
-              key.errorOrNull(), checksum.errorOrNull(),
-              bytes.errorOrNull(), error.errorOrNull()})
-            if (e)
-                return Error(e->message());
-        auto parsed = jobStatusFromName(*status);
+        spec.id = in.string("id");
+        std::string kind = in.string("ckind");
+        spec.workloads = in.list("workloads");
+        spec.cores = in.list("cores");
+        spec.periods = in.numbers("periods");
+        spec.trials = in.number("trials");
+        spec.seed = in.number("seed");
+        spec.configJson = in.string("config");
+        spec.deadlineMs = in.number("deadline_ms");
+        if (const Error *e = in.error())
+            return *e;
+        auto parsed = campaignKindFromName(kind);
         if (!parsed)
             return parsed.error();
-        record.id = *id;
-        record.unit = *unit;
+        spec.kind = *parsed;
+        return record;
+    }
+    if (rec == "unit") {
+        record.type = QueueRecord::Type::Unit;
+        record.id = in.string("id");
+        record.unit = in.number("unit");
+        std::string status = in.string("status");
+        record.cached = in.number("cached") != 0;
+        record.key = in.hexKey("key");
+        record.checksum = in.hexKey("checksum");
+        record.bytes = in.number("bytes");
+        record.error = in.string("error");
+        if (const Error *e = in.error())
+            return *e;
+        auto parsed = jobStatusFromName(status);
+        if (!parsed)
+            return parsed.error();
         record.status = *parsed;
-        record.cached = *cached != 0;
-        record.key = *key;
-        record.checksum = *checksum;
-        record.bytes = *bytes;
-        record.error = *error;
         return record;
     }
-    if (*rec == "cancel") {
+    if (rec == "cancel") {
         record.type = QueueRecord::Type::Cancel;
-        auto id = flat::getString(*object, "id");
-        if (!id)
-            return id.error();
-        record.id = *id;
+        record.id = in.string("id");
+        if (const Error *e = in.error())
+            return *e;
         return record;
     }
-    return Error("unknown record '" + *rec + "'");
-}
-
-Expected<QueueJournalContents>
-readQueueJournal(const std::string &path)
-{
-    auto text = readTextFile(path);
-    if (!text)
-        return Error(text.error()).context("queue journal");
-    QueueJournalContents contents;
-    contents.validBytes = text->size();
-    struct RawLine
-    {
-        std::size_t number;
-        std::size_t start;
-        std::string text;
-    };
-    std::vector<RawLine> recordLines;
-    bool sawHeader = false;
-    std::size_t lineNo = 0, pos = 0;
-    while (pos < text->size()) {
-        std::size_t eol = text->find('\n', pos);
-        std::size_t end = eol == std::string::npos ? text->size() : eol;
-        std::string line = text->substr(pos, end - pos);
-        std::size_t start = pos;
-        pos = eol == std::string::npos ? text->size() : eol + 1;
-        ++lineNo;
-        if (line.empty())
-            continue;
-        if (!sawHeader) {
-            auto header = parseQueueHeaderLine(line);
-            if (!header)
-                return Error(header.error())
-                    .context("'" + path + "' line " +
-                             std::to_string(lineNo));
-            contents.header = *header;
-            sawHeader = true;
-            continue;
-        }
-        recordLines.push_back({lineNo, start, std::move(line)});
-    }
-    if (!sawHeader)
-        return Error("queue journal '" + path + "' has no header line");
-    for (std::size_t i = 0; i < recordLines.size(); ++i) {
-        auto record = parseQueueRecordLine(recordLines[i].text);
-        if (!record) {
-            if (i + 1 == recordLines.size()) {
-                // The signature of a daemon killed mid-append.
-                contents.tornTail = true;
-                contents.validBytes = recordLines[i].start;
-                break;
-            }
-            return Error(record.error())
-                .context("'" + path + "' line " +
-                         std::to_string(recordLines[i].number));
-        }
-        contents.records.push_back(*record);
-    }
-    return contents;
+    return Error("unknown record '" + rec + "'");
 }
 
 CampaignQueue::CampaignEntry *
@@ -428,101 +223,78 @@ CampaignQueue::open(const std::string &path, const std::string &cacheDir,
     _durable = !path.empty();
     if (!_durable)
         return true;
+    return openPinned(_journal, path, cacheDir,
+                      [&](const QueueJournalContents &contents) {
+                          for (const QueueRecord &record : contents.records)
+                              replayLocked(record, verify);
+                      });
+}
 
-    struct stat st;
-    if (::stat(path.c_str(), &st) != 0) {
-        QueueHeader header;
-        header.cacheDir = cacheDir;
-        if (auto created = _journal.create(path); !created)
-            return Error(created.error()).context("queue journal");
-        if (auto wrote = _journal.appendLine(queueHeaderToLine(header));
-            !wrote)
-            return Error(wrote.error()).context("queue journal");
-        return true;
-    }
-
-    auto contents = readQueueJournal(path);
-    if (!contents)
-        return contents.error();
-    // The header pins which cache the unit records certify payloads
-    // in; recovering against a different cache would vouch for
-    // entries nobody ever wrote there.
-    if (contents->header.cacheDir != cacheDir)
-        return Error("queue journal '" + path + "' pins cache '" +
-                     contents->header.cacheDir + "', not '" + cacheDir +
-                     "'");
-    if (contents->tornTail)
-        if (auto cut = io::truncateFile(path, contents->validBytes);
-            !cut)
-            return Error(cut.error()).context("queue journal");
-
-    for (const QueueRecord &record : contents->records) {
-        switch (record.type) {
-          case QueueRecord::Type::Campaign: {
-            if (findLocked(record.campaign.id))
-                break; // replayed admission of a known id; keep first
-            CampaignEntry campaign;
-            campaign.spec = record.campaign;
-            for (WorkUnit &unit : expandUnits(campaign.spec)) {
-                UnitEntry entry;
-                entry.unit = std::move(unit);
-                campaign.units.push_back(std::move(entry));
-            }
-            ++_stats.campaigns;
-            _stats.unitsExpanded += campaign.units.size();
-            _campaigns.push_back(std::move(campaign));
-            break;
-          }
-          case QueueRecord::Type::Unit: {
-            CampaignEntry *campaign = findLocked(record.id);
-            if (!campaign || record.unit >= campaign->units.size())
-                break; // stale record for a spec this journal lost
-            UnitEntry &entry = campaign->units[record.unit];
-            if (entry.phase == UnitPhase::Done ||
-                entry.phase == UnitPhase::Failed)
-                break; // first record wins, like first completion
-            if (record.status == JobStatus::Done) {
-                // A done record is only as good as its bytes: verify
-                // the payload still sits in the cache intact, else
-                // recompute. At-least-once, never wrong.
-                if (verify &&
-                    !verify(record.key, record.checksum, record.bytes))
-                    break;
-                entry.phase = UnitPhase::Done;
-                entry.status = JobStatus::Done;
-                entry.cached = record.cached;
-                entry.key = record.key;
-                entry.checksum = record.checksum;
-                entry.bytes = record.bytes;
-                ++_stats.unitsDone;
-                ++_stats.recoveredUnits;
-            } else {
-                entry.phase = UnitPhase::Failed;
-                entry.status = record.status;
-                entry.text = record.error;
-                ++_stats.unitsFailed;
-                ++_stats.recoveredUnits;
-            }
-            break;
-          }
-          case QueueRecord::Type::Cancel: {
-            CampaignEntry *campaign = findLocked(record.id);
-            if (!campaign)
-                break;
-            campaign->canceled = true;
-            for (UnitEntry &entry : campaign->units)
-                if (entry.phase == UnitPhase::Pending) {
-                    entry.phase = UnitPhase::Canceled;
-                    ++_stats.unitsCanceled;
-                }
-            break;
-          }
+void
+CampaignQueue::replayLocked(const QueueRecord &record,
+                            const VerifyDone &verify)
+{
+    switch (record.type) {
+      case QueueRecord::Type::Campaign: {
+        if (findLocked(record.campaign.id))
+            break; // replayed admission of a known id; keep first
+        CampaignEntry campaign;
+        campaign.spec = record.campaign;
+        for (WorkUnit &unit : expandUnits(campaign.spec)) {
+            UnitEntry entry;
+            entry.unit = std::move(unit);
+            campaign.units.push_back(std::move(entry));
         }
+        ++_stats.campaigns;
+        _stats.unitsExpanded += campaign.units.size();
+        _campaigns.push_back(std::move(campaign));
+        break;
+      }
+      case QueueRecord::Type::Unit: {
+        CampaignEntry *campaign = findLocked(record.id);
+        if (!campaign || record.unit >= campaign->units.size())
+            break; // stale record for a spec this journal lost
+        UnitEntry &entry = campaign->units[record.unit];
+        if (entry.phase == UnitPhase::Done ||
+            entry.phase == UnitPhase::Failed)
+            break; // first record wins, like first completion
+        if (record.status == JobStatus::Done) {
+            // A done record is only as good as its bytes: verify
+            // the payload still sits in the cache intact, else
+            // recompute. At-least-once, never wrong.
+            if (verify &&
+                !verify(record.key, record.checksum, record.bytes))
+                break;
+            entry.phase = UnitPhase::Done;
+            entry.status = JobStatus::Done;
+            entry.cached = record.cached;
+            entry.key = record.key;
+            entry.checksum = record.checksum;
+            entry.bytes = record.bytes;
+            ++_stats.unitsDone;
+            ++_stats.recoveredUnits;
+        } else {
+            entry.phase = UnitPhase::Failed;
+            entry.status = record.status;
+            entry.text = record.error;
+            ++_stats.unitsFailed;
+            ++_stats.recoveredUnits;
+        }
+        break;
+      }
+      case QueueRecord::Type::Cancel: {
+        CampaignEntry *campaign = findLocked(record.id);
+        if (!campaign)
+            break;
+        campaign->canceled = true;
+        for (UnitEntry &entry : campaign->units)
+            if (entry.phase == UnitPhase::Pending) {
+                entry.phase = UnitPhase::Canceled;
+                ++_stats.unitsCanceled;
+            }
+        break;
+      }
     }
-
-    if (auto opened = _journal.append(path); !opened)
-        return Error(opened.error()).context("queue journal");
-    return true;
 }
 
 Expected<std::uint64_t>
@@ -557,9 +329,8 @@ CampaignQueue::submit(const CampaignSpec &spec, std::uint64_t unitLimit)
         QueueRecord record;
         record.type = QueueRecord::Type::Campaign;
         record.campaign = spec;
-        if (auto wrote = _journal.appendLine(queueRecordToLine(record));
-            !wrote)
-            return Error(wrote.error()).context("queue journal");
+        if (auto wrote = _journal.add(record); !wrote)
+            return wrote.error();
     }
 
     CampaignEntry campaign;
@@ -646,8 +417,7 @@ CampaignQueue::finishLocked(CampaignEntry &campaign, UnitEntry &entry,
         // Completion degrades where admission refuses: the result is
         // live in memory and (for done units) in the cache; losing
         // the record only costs a recompute after the next restart.
-        if (auto wrote = _journal.appendLine(queueRecordToLine(record));
-            !wrote)
+        if (!_journal.add(record))
             ++_stats.journalErrors;
     }
     entry.status = status;
@@ -742,9 +512,8 @@ CampaignQueue::cancel(const std::string &id)
         record.id = id;
         // Like admission, a cancel must be durable to be honored —
         // otherwise a restart would resurrect the canceled units.
-        if (auto wrote = _journal.appendLine(queueRecordToLine(record));
-            !wrote)
-            return Error(wrote.error()).context("queue journal");
+        if (auto wrote = _journal.add(record); !wrote)
+            return wrote.error();
     }
     campaign->canceled = true;
     std::uint64_t canceled = 0;

@@ -5,11 +5,9 @@
  * A campaign (serve/protocol.hh CampaignSpec) names a sweep — plain
  * runs, interrupt storms, or fault-injection trials over built-in
  * kernels and core schemes. The daemon persists the spec in an
- * append-only queue journal (the inject journal's flat-JSON dialect
- * and discipline: identity-pinning header, one record per line,
- * fsync per append, torn FINAL line tolerated and truncated on
- * resume, interior damage refused), expands it into deterministic
- * work units, and hands units to dispatcher threads under *leases*:
+ * append-only queue journal (common/journal.hh, pinned to the result
+ * cache like the serve journal), expands it into deterministic work
+ * units, and hands units to dispatcher threads under *leases*:
  *
  *   - lease()    claims a pending unit for leaseMs; past the deadline
  *                the unit silently returns to the pool (the worker is
@@ -56,8 +54,8 @@
 
 #include "common/backoff.hh"
 #include "common/error.hh"
-#include "common/io_faults.hh"
 #include "serve/protocol.hh"
+#include "serve/recovery.hh"
 
 namespace ruu::serve
 {
@@ -92,13 +90,6 @@ enum class UnitPhase
 
 const char *unitPhaseName(UnitPhase phase);
 
-/** Queue journal identity line (first line of the file). */
-struct QueueHeader
-{
-    std::uint64_t version = 1;
-    std::string cacheDir; //!< pins which cache certifies done units
-};
-
 /** One replayable journal record. */
 struct QueueRecord
 {
@@ -120,25 +111,24 @@ struct QueueRecord
     std::string error;          //!< failed unit's diagnostic
 };
 
-std::string queueHeaderToLine(const QueueHeader &header);
 std::string queueRecordToLine(const QueueRecord &record);
-Expected<QueueHeader> parseQueueHeaderLine(const std::string &line);
 Expected<QueueRecord> parseQueueRecordLine(const std::string &line);
 
-/** A fully parsed queue journal. */
-struct QueueJournalContents
+/**
+ * The queue journal's grammar (common/journal.hh); its header pins
+ * which cache certifies done units.
+ */
+struct QueueJournalFormat : CachePinFormat
 {
-    QueueHeader header;
-    std::vector<QueueRecord> records;
-    bool tornTail = false;     //!< last line incomplete and dropped
-    std::size_t validBytes = 0; //!< byte extent of the valid prefix
+    using Record = QueueRecord;
+    static constexpr const char *kKind = "ruu-serve-queue";
+    static constexpr const char *kNoun = "queue journal";
+    static constexpr auto toLine = queueRecordToLine;
+    static constexpr auto fromLine = parseQueueRecordLine;
 };
 
-/**
- * Read and validate a whole queue journal. Tolerates a torn final
- * line; rejects a missing/invalid header or malformed interior line.
- */
-Expected<QueueJournalContents> readQueueJournal(const std::string &path);
+using QueueJournalContents = journal::Contents<QueueJournalFormat>;
+inline constexpr auto &readQueueJournal = journal::read<QueueJournalFormat>;
 
 /** A claimed unit, everything a dispatcher needs to run it. */
 struct Lease
@@ -347,6 +337,8 @@ class CampaignQueue
     };
 
     CampaignEntry *findLocked(const std::string &id);
+    /** Re-apply one journal record while opening. */
+    void replayLocked(const QueueRecord &record, const VerifyDone &verify);
     UnitSnapshot snapshotLocked(const UnitEntry &entry) const;
     void finishLocked(CampaignEntry &campaign, UnitEntry &entry,
                       JobStatus status, bool cached, std::uint64_t key,
@@ -356,7 +348,7 @@ class CampaignQueue
     std::mutex _mutex;
     std::condition_variable _cv;
     std::vector<CampaignEntry> _campaigns;
-    io::AppendFile _journal;
+    journal::Writer<QueueJournalFormat> _journal;
     bool _durable = false;
     bool _draining = false;
     std::uint64_t _tokenCounter = 0;

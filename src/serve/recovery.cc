@@ -1,51 +1,25 @@
 #include "serve/recovery.hh"
 
-#include <fstream>
 #include <sstream>
 
-#include "common/file.hh"
-#include "common/flat_json.hh"
 #include "serve/cache.hh"
 
 namespace ruu::serve
 {
 
-namespace
+std::string
+CachePinFormat::headerFields(const CachePinHeader &header)
 {
-
-const char *const kServeJournalKind = "ruu-serve-journal";
-
-Expected<std::uint64_t>
-getHexKey(const flat::Object &object, const std::string &key)
-{
-    auto text = flat::getString(object, key);
-    if (!text)
-        return text.error();
-    if (text->size() != 16)
-        return Error("key '" + key + "' is not a 16-hex-digit value");
-    std::uint64_t value = 0;
-    for (char c : *text) {
-        value <<= 4;
-        if (c >= '0' && c <= '9')
-            value |= static_cast<std::uint64_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            value |= static_cast<std::uint64_t>(c - 'a' + 10);
-        else
-            return Error("key '" + key + "' has a non-hex digit");
-    }
-    return value;
+    return ", \"cache\": \"" + flat::escape(header.cacheDir) + "\"";
 }
 
-} // namespace
-
-std::string
-serveHeaderToLine(const ServeJournalHeader &header)
+Expected<CachePinHeader>
+CachePinFormat::parseHeader(const flat::Object &object)
 {
-    std::ostringstream os;
-    os << "{\"kind\": \"" << kServeJournalKind << "\""
-       << ", \"version\": " << header.version
-       << ", \"cache\": \"" << flat::escape(header.cacheDir) << "\"}";
-    return os.str();
+    auto cache = flat::getString(object, "cache");
+    if (!cache)
+        return cache.error();
+    return CachePinHeader{*cache};
 }
 
 std::string
@@ -58,148 +32,15 @@ jobRecordToLine(const JobRecord &record)
     return os.str();
 }
 
-Expected<ServeJournalHeader>
-parseServeHeaderLine(const std::string &line)
-{
-    auto object = flat::parseObject(line);
-    if (!object)
-        return Error(object.error()).context("serve journal header");
-    auto kind = flat::getString(*object, "kind");
-    if (!kind)
-        return Error(kind.error()).context("serve journal header");
-    if (*kind != kServeJournalKind)
-        return Error("serve journal header: kind '" + *kind +
-                     "' is not '" + kServeJournalKind + "'");
-    auto version = flat::getNumber(*object, "version");
-    auto cache = flat::getString(*object, "cache");
-    for (const Error *e : {version.errorOrNull(), cache.errorOrNull()})
-        if (e)
-            return Error(e->message()).context("serve journal header");
-    if (*version != 1)
-        return Error("serve journal header: unsupported version " +
-                     std::to_string(*version));
-    ServeJournalHeader header;
-    header.version = *version;
-    header.cacheDir = *cache;
-    return header;
-}
-
 Expected<JobRecord>
 parseJobRecordLine(const std::string &line)
 {
-    auto object = flat::parseObject(line);
-    if (!object)
-        return object.error();
-    auto key = getHexKey(*object, "key");
-    auto checksum = getHexKey(*object, "checksum");
-    auto bytes = flat::getNumber(*object, "bytes");
-    for (const Error *e : {key.errorOrNull(), checksum.errorOrNull(),
-                           bytes.errorOrNull()})
-        if (e)
-            return Error(e->message());
-    JobRecord record;
-    record.key = *key;
-    record.checksum = *checksum;
-    record.bytes = *bytes;
+    flat::Fields in(line);
+    JobRecord record{in.hexKey("key"), in.hexKey("checksum"),
+                     in.number("bytes")};
+    if (const Error *e = in.error())
+        return *e;
     return record;
-}
-
-Expected<ServeJournalContents>
-readServeJournal(const std::string &path)
-{
-    auto text = readTextFile(path);
-    if (!text)
-        return Error(text.error()).context("serve journal");
-    ServeJournalContents contents;
-    contents.validBytes = text->size();
-    struct RawLine
-    {
-        std::size_t number;
-        std::size_t start;
-        std::string text;
-    };
-    std::vector<RawLine> recordLines;
-    bool sawHeader = false;
-    std::size_t lineNo = 0, pos = 0;
-    while (pos < text->size()) {
-        std::size_t eol = text->find('\n', pos);
-        std::size_t end = eol == std::string::npos ? text->size() : eol;
-        std::string line = text->substr(pos, end - pos);
-        std::size_t start = pos;
-        pos = eol == std::string::npos ? text->size() : eol + 1;
-        ++lineNo;
-        if (line.empty())
-            continue;
-        if (!sawHeader) {
-            auto header = parseServeHeaderLine(line);
-            if (!header)
-                return Error(header.error())
-                    .context("'" + path + "' line " +
-                             std::to_string(lineNo));
-            contents.header = *header;
-            sawHeader = true;
-            continue;
-        }
-        recordLines.push_back({lineNo, start, std::move(line)});
-    }
-    if (!sawHeader)
-        return Error("serve journal '" + path + "' has no header line");
-    for (std::size_t i = 0; i < recordLines.size(); ++i) {
-        auto record = parseJobRecordLine(recordLines[i].text);
-        if (!record) {
-            if (i + 1 == recordLines.size()) {
-                // The signature of a server SIGKILLed mid-append.
-                contents.tornTail = true;
-                contents.validBytes = recordLines[i].start;
-                break;
-            }
-            return Error(record.error())
-                .context("'" + path + "' line " +
-                         std::to_string(recordLines[i].number));
-        }
-        contents.records.push_back(*record);
-    }
-    return contents;
-}
-
-Expected<bool>
-ServeJournalWriter::create(const std::string &path,
-                           const ServeJournalHeader &header)
-{
-    if (auto opened = _file.create(path); !opened)
-        return Error(opened.error()).context("serve journal");
-    if (auto wrote = _file.appendLine(serveHeaderToLine(header)); !wrote)
-        return Error(wrote.error()).context("serve journal");
-    return true;
-}
-
-Expected<bool>
-ServeJournalWriter::append(const std::string &path)
-{
-    bool needsNewline = false;
-    {
-        std::ifstream in(path, std::ios::binary | std::ios::ate);
-        if (in && in.tellg() > 0) {
-            in.seekg(-1, std::ios::end);
-            needsNewline = in.get() != '\n';
-        }
-    }
-    if (auto opened = _file.append(path); !opened)
-        return Error(opened.error()).context("serve journal");
-    if (needsNewline)
-        if (auto isolated = _file.appendText("\n"); !isolated)
-            return Error(isolated.error()).context("serve journal");
-    return true;
-}
-
-Expected<bool>
-ServeJournalWriter::add(const JobRecord &record)
-{
-    if (!_file.isOpen())
-        return Error("serve journal writer is not open");
-    if (auto wrote = _file.appendLine(jobRecordToLine(record)); !wrote)
-        return Error(wrote.error()).context("serve journal");
-    return true;
 }
 
 } // namespace ruu::serve

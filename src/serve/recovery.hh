@@ -1,11 +1,10 @@
 /**
  * @file
- * Crash-safe server journal, in the inject-journal style: one flat-
- * JSON object per line, a header that pins the journal to its server
- * identity (cache directory + protocol version), and torn-tail
- * tolerance — a SIGKILL mid-append leaves a final line that fails to
- * parse, which readers drop (reporting validBytes for truncation)
- * instead of refusing the whole file.
+ * Crash-safe server journal, over common/journal.hh: a header that
+ * pins the journal to its server identity (the cache directory), then
+ * one record per completed job. Reading, torn-tail tolerance and
+ * resume are the shared journal's; this file holds the grammar, and
+ * the cache-pinning header the campaign-queue journal shares.
  *
  * Each completed job appends its content address and payload checksum.
  * On restart the server replays the journal against the cache: an
@@ -21,20 +20,51 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/error.hh"
-#include "common/io_faults.hh"
+#include "common/journal.hh"
 
 namespace ruu::serve
 {
 
-/** Identity line pinning a journal to one server configuration. */
-struct ServeJournalHeader
+/** Identity line pinning a serve or queue journal to one cache. */
+struct CachePinHeader
 {
-    std::uint64_t version = 1;
     std::string cacheDir;
 };
+
+/** The header grammar the serve and queue journals share. */
+struct CachePinFormat
+{
+    using Header = CachePinHeader;
+    static std::string headerFields(const CachePinHeader &header);
+    static Expected<CachePinHeader> parseHeader(const flat::Object &object);
+};
+
+/**
+ * Create or resume a cache-pinned journal against @p cacheDir. A
+ * journal pinned to another cache is refused untouched: it only
+ * vouches for the cache it was written against, and replaying it onto
+ * another would "recover" entries it knows nothing about. Otherwise
+ * @p replay sees every record before appends resume.
+ */
+template <typename Format, typename Replay>
+Expected<bool>
+openPinned(journal::Writer<Format> &writer, const std::string &path,
+           const std::string &cacheDir, const Replay &replay)
+{
+    return writer.open(
+        path, CachePinHeader{cacheDir},
+        [&](const journal::Contents<Format> &contents) -> Expected<bool> {
+            if (contents.header.cacheDir != cacheDir)
+                return Error(std::string(Format::kNoun) + " '" + path +
+                             "' pins cache directory '" +
+                             contents.header.cacheDir + "', not '" +
+                             cacheDir + "'");
+            replay(contents);
+            return true;
+        });
+}
 
 /** One completed job's durable record. */
 struct JobRecord
@@ -44,52 +74,22 @@ struct JobRecord
     std::uint64_t bytes = 0;    //!< payload size
 };
 
-std::string serveHeaderToLine(const ServeJournalHeader &header);
 std::string jobRecordToLine(const JobRecord &record);
-Expected<ServeJournalHeader> parseServeHeaderLine(const std::string &line);
 Expected<JobRecord> parseJobRecordLine(const std::string &line);
 
-/** A journal as read back, with torn-tail accounting. */
-struct ServeJournalContents
+/** The serve journal's grammar (common/journal.hh). */
+struct ServeJournalFormat : CachePinFormat
 {
-    ServeJournalHeader header;
-    std::vector<JobRecord> records;
-    bool tornTail = false;
-    std::size_t validBytes = 0; //!< truncate here before appending
+    using Record = JobRecord;
+    static constexpr const char *kKind = "ruu-serve-journal";
+    static constexpr const char *kNoun = "serve journal";
+    static constexpr auto toLine = jobRecordToLine;
+    static constexpr auto fromLine = parseJobRecordLine;
 };
 
-/**
- * Read and validate @p path. Only an unparseable FINAL record line is
- * forgiven (tornTail); damage anywhere else is an error.
- */
-Expected<ServeJournalContents> readServeJournal(const std::string &path);
-
-/**
- * Streaming appender (create or resume). Every line goes through the
- * checked io_faults shim and is fsynced before add() returns — a
- * record reported as added has reached the disk.
- */
-class ServeJournalWriter
-{
-  public:
-    /** Truncate and write the header. */
-    Expected<bool> create(const std::string &path,
-                          const ServeJournalHeader &header);
-
-    /**
-     * Open for appending, isolating any newline-less torn fragment on
-     * its own line first.
-     */
-    Expected<bool> append(const std::string &path);
-
-    /** Append one record, durable before returning. */
-    Expected<bool> add(const JobRecord &record);
-
-    bool isOpen() const { return _file.isOpen(); }
-
-  private:
-    io::AppendFile _file;
-};
+using ServeJournalHeader = CachePinHeader;
+using ServeJournalContents = journal::Contents<ServeJournalFormat>;
+using ServeJournalWriter = journal::Writer<ServeJournalFormat>;
 
 } // namespace ruu::serve
 

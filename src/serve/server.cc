@@ -6,7 +6,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -225,42 +224,20 @@ Server::recover()
 {
     if (_options.journalPath.empty())
         return true;
-    bool exists = false;
-    {
-        std::ifstream probe(_options.journalPath);
-        exists = probe.good();
-    }
-    if (!exists) {
-        ServeJournalHeader header;
-        header.cacheDir = _options.cacheDir;
-        return _journal.create(_options.journalPath, header);
-    }
-    auto contents = readServeJournal(_options.journalPath);
-    if (!contents)
-        return Error(contents.error()).context("serve recovery");
-    // Identity pinning: a journal only vouches for the cache it was
-    // written against; replaying it onto a different directory would
-    // "recover" entries it knows nothing about.
-    if (contents->header.cacheDir != _options.cacheDir)
-        return Error("serve journal '" + _options.journalPath +
-                     "' pins cache directory '" +
-                     contents->header.cacheDir + "', not '" +
-                     _options.cacheDir + "'");
-    if (contents->tornTail)
-        if (auto cut = io::truncateFile(_options.journalPath,
-                                        contents->validBytes);
-            !cut)
-            return Error(cut.error())
-                .context("cannot drop the torn tail of serve journal '" +
-                         _options.journalPath + "'");
     // Each journaled completion vouches for one cache entry; entries
     // the journal and cache disagree on are deleted so the job simply
     // recomputes — corruption degrades to work, never to wrong bytes.
-    for (const JobRecord &record : contents->records)
-        if (_cache.verifyAgainst(record.key, record.checksum,
-                                 record.bytes))
-            ++_stats.recovered;
-    return _journal.append(_options.journalPath);
+    auto opened = openPinned(
+        _journal, _options.journalPath, _options.cacheDir,
+        [this](const ServeJournalContents &contents) {
+            for (const JobRecord &record : contents.records)
+                if (_cache.verifyAgainst(record.key, record.checksum,
+                                         record.bytes))
+                    ++_stats.recovered;
+        });
+    if (!opened)
+        return Error(opened.error()).context("serve recovery");
+    return true;
 }
 
 std::string

@@ -1,10 +1,10 @@
 /**
  * @file
  * ruu::inject unit and integration tests: the fault-port enumeration,
- * the JSONL campaign journal (round trips, torn tails, corruption),
- * deterministic trial sampling, and end-to-end campaigns through the
- * crash-contained sandbox — including journal resume and bit-exact
- * trial replay.
+ * outcome names, deterministic trial sampling, and end-to-end
+ * campaigns through the crash-contained sandbox — including journal
+ * resume, campaign identity, and bit-exact trial replay. The journal
+ * reader contract itself is tested once per format in test_journal.cc.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,8 @@
 #include <fstream>
 
 #include "common/backoff.hh"
+#include "common/file.hh"
+#include "common/io_faults.hh"
 #include "inject/campaign.hh"
 #include "inject/fault_port.hh"
 #include "inject/journal.hh"
@@ -131,21 +133,6 @@ TEST(FaultPorts, LayoutSignatureTracksStructure)
 // ---------------------------------------------------------------------
 // Journal
 
-inject::TrialResult
-sampleTrial()
-{
-    inject::TrialResult trial;
-    trial.point = {42, 0xdeadbeefull, "ruu", "lll03", 123, 456};
-    trial.outcome = Outcome::Sdc;
-    trial.port = "ruu[3].destTag (tag, 32 bits) bit 5";
-    trial.before = 17;
-    trial.after = 49;
-    trial.cycles = 999;
-    trial.retries = 1;
-    trial.detail = "line one\nline \"two\"\twith\\escapes";
-    return trial;
-}
-
 TEST(Journal, OutcomeNamesRoundTrip)
 {
     for (Outcome o :
@@ -157,129 +144,6 @@ TEST(Journal, OutcomeNamesRoundTrip)
         EXPECT_EQ(*back, o);
     }
     EXPECT_FALSE(inject::outcomeFromName("nonsense").ok());
-}
-
-TEST(Journal, TrialLineRoundTripsEscapes)
-{
-    inject::TrialResult trial = sampleTrial();
-    auto parsed = inject::parseTrialLine(inject::trialToLine(trial));
-    ASSERT_TRUE(parsed.ok()) << parsed.error().message();
-    EXPECT_EQ(parsed->point.index, trial.point.index);
-    EXPECT_EQ(parsed->point.seed, trial.point.seed);
-    EXPECT_EQ(parsed->point.core, trial.point.core);
-    EXPECT_EQ(parsed->point.workload, trial.point.workload);
-    EXPECT_EQ(parsed->point.cycle, trial.point.cycle);
-    EXPECT_EQ(parsed->point.bit, trial.point.bit);
-    EXPECT_EQ(parsed->outcome, trial.outcome);
-    EXPECT_EQ(parsed->port, trial.port);
-    EXPECT_EQ(parsed->before, trial.before);
-    EXPECT_EQ(parsed->after, trial.after);
-    EXPECT_EQ(parsed->cycles, trial.cycles);
-    EXPECT_EQ(parsed->retries, trial.retries);
-    EXPECT_EQ(parsed->detail, trial.detail);
-}
-
-TEST(Journal, HeaderLineRoundTrips)
-{
-    inject::JournalHeader header;
-    header.seed = 7;
-    header.trials = 1000;
-    header.cores = {"ruu", "history"};
-    header.workloads = {"lll01", "lll03"};
-    header.config = "{\"pool_entries\": 10}";
-    auto parsed =
-        inject::parseHeaderLine(inject::headerToLine(header));
-    ASSERT_TRUE(parsed.ok()) << parsed.error().message();
-    EXPECT_EQ(parsed->seed, header.seed);
-    EXPECT_EQ(parsed->trials, header.trials);
-    EXPECT_EQ(parsed->cores, header.cores);
-    EXPECT_EQ(parsed->workloads, header.workloads);
-    EXPECT_EQ(parsed->config, header.config);
-}
-
-class JournalFile : public ::testing::Test
-{
-  protected:
-    std::string
-    path() const
-    {
-        return ::testing::TempDir() + "inject_journal_test.jsonl";
-    }
-
-    void TearDown() override { std::remove(path().c_str()); }
-
-    inject::JournalHeader
-    header() const
-    {
-        inject::JournalHeader h;
-        h.seed = 3;
-        h.trials = 10;
-        h.cores = {"ruu"};
-        h.workloads = {"w"};
-        h.config = "cfg";
-        return h;
-    }
-};
-
-TEST_F(JournalFile, WriteReadRoundTrip)
-{
-    inject::JournalWriter writer;
-    ASSERT_TRUE(writer.create(path(), header()).ok());
-    inject::TrialResult trial = sampleTrial();
-    ASSERT_TRUE(writer.add(trial).ok());
-    trial.point.index = 43;
-    ASSERT_TRUE(writer.add(trial).ok());
-
-    auto contents = inject::readJournal(path());
-    ASSERT_TRUE(contents.ok()) << contents.error().message();
-    EXPECT_EQ(contents->header.seed, 3u);
-    EXPECT_EQ(contents->trials.size(), 2u);
-    EXPECT_FALSE(contents->tornTail);
-    EXPECT_EQ(contents->trials[1].point.index, 43u);
-}
-
-TEST_F(JournalFile, TornTailIsToleratedAndMeasured)
-{
-    inject::JournalWriter writer;
-    ASSERT_TRUE(writer.create(path(), header()).ok());
-    ASSERT_TRUE(writer.add(sampleTrial()).ok());
-    std::string full = inject::trialToLine(sampleTrial());
-    {
-        std::ofstream out(path(), std::ios::app);
-        out << full.substr(0, full.size() / 2); // torn mid-record
-    }
-    auto contents = inject::readJournal(path());
-    ASSERT_TRUE(contents.ok()) << contents.error().message();
-    EXPECT_TRUE(contents->tornTail);
-    EXPECT_EQ(contents->trials.size(), 1u);
-    // Truncating to validBytes removes exactly the fragment.
-    std::ifstream in(path(), std::ios::binary | std::ios::ate);
-    EXPECT_EQ(static_cast<std::size_t>(in.tellg()),
-              contents->validBytes + full.size() / 2);
-}
-
-TEST_F(JournalFile, CorruptInteriorLineIsAHardError)
-{
-    inject::JournalWriter writer;
-    ASSERT_TRUE(writer.create(path(), header()).ok());
-    {
-        std::ofstream out(path(), std::ios::app);
-        out << "{\"garbage\": 1}\n";
-    }
-    inject::JournalWriter appender;
-    ASSERT_TRUE(appender.append(path()).ok());
-    ASSERT_TRUE(appender.add(sampleTrial()).ok());
-    auto contents = inject::readJournal(path());
-    EXPECT_FALSE(contents.ok());
-}
-
-TEST_F(JournalFile, MissingHeaderIsAnError)
-{
-    {
-        std::ofstream out(path());
-        out << inject::trialToLine(sampleTrial()) << "\n";
-    }
-    EXPECT_FALSE(inject::readJournal(path()).ok());
 }
 
 // ---------------------------------------------------------------------
@@ -306,6 +170,42 @@ smallCampaign(const std::string &journal = "")
     options.timeoutMs = 30'000;
     options.journalPath = journal;
     return options;
+}
+
+/** Records the wrap of every in-flight op's sequence-number port. */
+struct SeqWrapTap : inject::MachineTap
+{
+    void
+    onRunStart(FaultPortSet &ports) override
+    {
+        for (std::size_t i = 0; i < ports.size(); ++i) {
+            const inject::FaultPort &port = ports.port(i);
+            if (port.name.size() > 4 &&
+                port.name.compare(port.name.size() - 4, 4, ".seq") == 0)
+                wraps.push_back(port.wrap);
+        }
+    }
+
+    std::vector<std::uint64_t> wraps;
+};
+
+TEST(FaultPorts, InflightSeqWrapsToTheTrace)
+{
+    // An entry's sequence number indexes the trace; a flip that sent
+    // it past the end would read host memory, so runs could disagree.
+    Workload workload = campaignWorkload();
+    for (CoreKind kind : {CoreKind::Tomasulo, CoreKind::Rstu,
+                          CoreKind::Ruu, CoreKind::SpecRuu,
+                          CoreKind::History}) {
+        SeqWrapTap tap;
+        RunOptions options;
+        options.tap = &tap;
+        makeCore(kind, UarchConfig::cray1())->run(workload.trace(),
+                                                   options);
+        ASSERT_FALSE(tap.wraps.empty()) << coreKindName(kind);
+        for (std::uint64_t wrap : tap.wraps)
+            EXPECT_EQ(wrap, workload.trace().size()) << coreKindName(kind);
+    }
 }
 
 TEST(Sampling, TrialSeedsAreDeterministicAndSpread)
@@ -376,9 +276,9 @@ TEST_F(CampaignFile, RunsFullyClassifiedAndJournaled)
     EXPECT_EQ(tally[Outcome::Unclassified], 0u);
 
     // Journal carries every trial; a second run resumes all of them.
-    auto contents = inject::readJournal(path());
+    auto contents = journal::read<inject::JournalFormat>(path());
     ASSERT_TRUE(contents.ok()) << contents.error().message();
-    EXPECT_EQ(contents->trials.size(), options.trials);
+    EXPECT_EQ(contents->records.size(), options.trials);
 
     auto resumed = inject::runCampaign(options);
     ASSERT_TRUE(resumed.ok()) << resumed.error().message();
@@ -423,6 +323,37 @@ TEST_F(CampaignFile, MismatchedJournalIsRejected)
     options.seed = options.seed + 1; // different campaign identity
     auto resumed = inject::runCampaign(options);
     EXPECT_FALSE(resumed.ok());
+}
+
+TEST_F(CampaignFile, TornTailIsCutThroughTheIoShim)
+{
+    auto options = smallCampaign(path());
+    options.stopAfter = 2;
+    ASSERT_TRUE(inject::runCampaign(options).ok());
+    {
+        std::ofstream out(path(), std::ios::app | std::ios::binary);
+        out << "{\"index\": 2, \"seed\": 1"; // torn mid-record
+    }
+    auto before = readTextFile(path());
+    ASSERT_TRUE(before.ok());
+
+    // Every op under the journal's path fails: the resume must stop at
+    // the first of them, before it has touched a byte.
+    io::FaultPlan plan;
+    plan.errorRate = 256;
+    plan.pathPrefix = path();
+    io::setFaultPlan(plan);
+    options.stopAfter = 0;
+    auto resumed = inject::runCampaign(options);
+    io::clearFaultPlan();
+    ASSERT_FALSE(resumed.ok());
+    EXPECT_NE(resumed.error().message().find("(injected)"),
+              std::string::npos)
+        << resumed.error().message();
+    auto after = readTextFile(path());
+    ASSERT_TRUE(after.ok());
+    EXPECT_TRUE(*after == *before)
+        << "the failed resume changed the journal";
 }
 
 TEST(Campaign, ReplayTrialIsBitExact)

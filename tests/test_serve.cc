@@ -2,8 +2,8 @@
  * @file
  * The crash-tolerant simulation service (src/serve/): protocol
  * round trips and strictness, the content-addressed result cache
- * (hit/miss accounting, corruption rejection), the crash-safe
- * recovery journal (torn tails, identity pinning), and the live
+ * (hit/miss accounting, corruption rejection), journal identity
+ * pinning (the reader contract is test_journal.cc's), and the live
  * daemon end-to-end — batch submission with byte-identical payloads,
  * cache warm-up, queue shedding, deadline expiry, crashing jobs, and
  * the headline robustness property: SIGKILL mid-batch, restart,
@@ -281,80 +281,6 @@ TEST_F(ServeDirs, CacheVerifyAgainstJournalRecord)
     EXPECT_FALSE(cache.verifyAgainst(key, serve::fnv1a(payload),
                                      payload.size()))
         << "absent entry verified";
-}
-
-// ---------------------------------------------------------------------
-// Recovery journal
-
-TEST(ServeJournal, LinesRoundTrip)
-{
-    serve::ServeJournalHeader header;
-    header.cacheDir = "/tmp/some cache \"dir\"";
-    auto parsedHeader =
-        serve::parseServeHeaderLine(serve::serveHeaderToLine(header));
-    ASSERT_TRUE(parsedHeader.ok()) << parsedHeader.error().message();
-    EXPECT_EQ(parsedHeader->cacheDir, header.cacheDir);
-    EXPECT_EQ(parsedHeader->version, header.version);
-
-    serve::JobRecord record;
-    record.key = 0xdeadbeefcafef00dull;
-    record.checksum = 0x0123456789abcdefull;
-    record.bytes = 4242;
-    auto parsedRecord =
-        serve::parseJobRecordLine(serve::jobRecordToLine(record));
-    ASSERT_TRUE(parsedRecord.ok()) << parsedRecord.error().message();
-    EXPECT_EQ(parsedRecord->key, record.key);
-    EXPECT_EQ(parsedRecord->checksum, record.checksum);
-    EXPECT_EQ(parsedRecord->bytes, record.bytes);
-}
-
-TEST_F(ServeDirs, JournalTornTailIsForgivenDamageIsNot)
-{
-    std::string path = dir("journal");
-    serve::ServeJournalHeader header;
-    header.cacheDir = dir("cache");
-    serve::ServeJournalWriter writer;
-    ASSERT_TRUE(writer.create(path, header).ok());
-    serve::JobRecord record;
-    record.key = 7;
-    record.checksum = 8;
-    record.bytes = 9;
-    ASSERT_TRUE(writer.add(record).ok());
-
-    auto clean = serve::readServeJournal(path);
-    ASSERT_TRUE(clean.ok()) << clean.error().message();
-    EXPECT_FALSE(clean->tornTail);
-    ASSERT_EQ(clean->records.size(), 1u);
-    EXPECT_EQ(clean->records[0].key, 7u);
-    std::size_t cleanBytes = clean->validBytes;
-
-    // SIGKILL mid-append: a half-written final line is dropped and
-    // validBytes points at the clean prefix.
-    {
-        std::ofstream torn(path, std::ios::app | std::ios::binary);
-        torn << "{\"key\": \"00000000000000";
-    }
-    auto tornBack = serve::readServeJournal(path);
-    ASSERT_TRUE(tornBack.ok()) << tornBack.error().message();
-    EXPECT_TRUE(tornBack->tornTail);
-    EXPECT_EQ(tornBack->records.size(), 1u);
-    EXPECT_EQ(tornBack->validBytes, cleanBytes);
-
-    // Damage before the final line is corruption, not a torn tail.
-    {
-        std::ofstream rewrite(path, std::ios::binary);
-        rewrite << serve::serveHeaderToLine(header) << "\n"
-                << "not a record\n"
-                << serve::jobRecordToLine(record) << "\n";
-    }
-    EXPECT_FALSE(serve::readServeJournal(path).ok());
-
-    // A journal that opens with garbage has no usable identity.
-    {
-        std::ofstream rewrite(path, std::ios::binary);
-        rewrite << "hello\n";
-    }
-    EXPECT_FALSE(serve::readServeJournal(path).ok());
 }
 
 // ---------------------------------------------------------------------
@@ -807,6 +733,35 @@ TEST(ServeCampaignProtocol, CampaignWatchCancelRoundTrip)
     };
     for (const char *line : bad)
         EXPECT_FALSE(serve::parseRequest(line).ok()) << line;
+
+    // The shared flat-dialect helpers reject with their own messages:
+    // a non-numeric list item, and a journal record's malformed hex
+    // key (a key is exactly 16 lowercase hex digits).
+    auto periods = serve::parseRequest(
+        "{\"op\": \"campaign\", \"id\": \"a\", \"kind\": \"storm\", "
+        "\"workloads\": \"lll01\", \"cores\": \"ruu\", "
+        "\"periods\": \"16,x4\"}");
+    ASSERT_FALSE(periods.ok());
+    EXPECT_NE(periods.error().message().find(
+                  "'x4' is not an unsigned integer"),
+              std::string::npos)
+        << periods.error().message();
+    const std::pair<const char *, const char *> badKeys[] = {
+        {"{\"key\": \"00000000000000zz\", "
+         "\"checksum\": \"0123456789abcdef\", \"bytes\": 1}",
+         "key 'key' has a non-hex digit"},
+        {"{\"key\": \"0123456789ABCDEF\", "
+         "\"checksum\": \"0123456789abcdef\", \"bytes\": 1}",
+         "key 'key' has a non-hex digit"},
+        {"{\"key\": \"0123456789abcdef\", \"checksum\": \"abc\", "
+         "\"bytes\": 1}",
+         "key 'checksum' is not a 16-hex-digit value"},
+    };
+    for (const auto &[line, message] : badKeys) {
+        auto record = serve::parseJobRecordLine(line);
+        ASSERT_FALSE(record.ok()) << line;
+        EXPECT_EQ(record.error().message(), message) << line;
+    }
 }
 
 TEST(ServeQueue, ExpandUnitsIsDeterministicWorkloadMajor)
@@ -1057,6 +1012,33 @@ TEST_F(ServeDirs, QueueJournalTornTailForgivenDamageAndPinRefused)
         EXPECT_NE(opened.error().message().find("pins cache"),
                   std::string::npos);
     }
+
+    // A complete final record whose '\n' never landed: resume must
+    // start the next append on a fresh line, or the two records fuse
+    // into one unparseable tail and the next restart drops both.
+    std::string unterminated = dir("unterminated.jsonl");
+    {
+        serve::CampaignQueue queue;
+        ASSERT_TRUE(queue.open(unterminated, dir("cache"), nullptr).ok());
+        ASSERT_TRUE(queue.submit(tinyCampaign("a"), 1024).ok());
+    }
+    std::uintmax_t size = std::filesystem::file_size(unterminated);
+    std::filesystem::resize_file(unterminated, size - 1);
+    {
+        serve::CampaignQueue queue;
+        ASSERT_TRUE(queue.open(unterminated, dir("cache"), nullptr).ok());
+        ASSERT_TRUE(queue.submit(tinyCampaign("b"), 1024).ok());
+    }
+    {
+        serve::CampaignQueue queue;
+        ASSERT_TRUE(queue.open(unterminated, dir("cache"), nullptr).ok());
+        EXPECT_EQ(queue.campaignIds(),
+                  (std::vector<std::string>{"a", "b"}));
+    }
+    auto reread = serve::readQueueJournal(unterminated);
+    ASSERT_TRUE(reread.ok()) << reread.error().message();
+    EXPECT_FALSE(reread->tornTail);
+    EXPECT_EQ(reread->records.size(), 2u);
 }
 
 TEST_F(ServeDirs, QueueJournalFailureRefusesAdmissionButDegradesCompletion)
