@@ -60,7 +60,7 @@
 #include "sim/json.hh"
 #include "stats/table.hh"
 #include "trace/trace_io.hh"
-#include "trap/controller.hh"
+#include "trap/storm.hh"
 
 using namespace ruu;
 
@@ -921,7 +921,7 @@ cmdStorm(const Cli &cli)
     // lines). Cells run concurrently on the pool; the reduction below
     // stitches them back together in (workload, core) order, so the
     // report is byte-identical to the serial nested loop.
-    struct StormCell
+    struct CellReport
     {
         std::vector<std::vector<std::string>> rows;
         std::vector<std::string> jsonLines;
@@ -931,122 +931,17 @@ cmdStorm(const Cli &cli)
 
     par::Pool pool(cli.jobs);
     std::size_t cells = workloads.size() * kinds.size();
-    auto runCell = [&](std::size_t cell, unsigned) -> StormCell {
+    auto runCell = [&](std::size_t cell, unsigned) -> CellReport {
         const Workload &workload = workloads[cell / kinds.size()];
         CoreKind kind = kinds[cell % kinds.size()];
-        StormCell out;
-
-        // A compact data memory makes the per-delivery core restarts
-        // cheap; fall back to the default layout for programs whose
-        // data reaches up into it.
-        trap::TrapConfig tconfig;
-        tconfig.checkOracle = true;
-        Addr maxAddr = 0;
-        for (const auto &record : workload.trace().records())
-            maxAddr = std::max(maxAddr, record.memAddr);
-        for (const auto &init : workload.program->dataInits())
-            maxAddr = std::max(maxAddr, init.addr);
-        if (maxAddr < 0xe000) {
-            tconfig.layout.exchangeBase = 0xf000;
-            tconfig.layout.scratchBase = 0xf800;
-            tconfig.memoryWords = 1u << 16;
-        }
-
-        // Pin the handler program so the controller and the pruning
-        // decision below share one cached WCIRT bound entry.
-        auto handlerProg =
-            std::make_shared<const Program>(trap::counterHandler());
-        tconfig.handler = handlerProg;
-        lint::WcirtParams wparams;
-        wparams.exchangeCycles = tconfig.exchangeCycles;
-        wparams.maxLevels = tconfig.layout.maxLevels;
-        const lint::WcirtBound &bound = lint::cachedWcirtBound(
-            workload.trace(), *handlerProg, cli.config, kind, wparams);
-        const std::uint64_t segCeil = bound.segmentCeiling();
-
-        auto core = makeCore(kind, cli.config);
-        RunResult baseline = core->run(workload.trace());
-
+        CellReport out;
+        trap::StormCell storm(workload, kind, cli.config);
         for (Cycle period : periods) {
-            // An arrival period past the certified segment ceiling can
-            // never tick before the run completes: the row is derived,
-            // byte-identical to the simulation it skips (--no-prune
-            // forces the run; kWcirtUnbounded never satisfies the >).
-            const bool pruned = !cli.noPrune && period > segCeil;
-            trap::TrapRunResult res;
-            bool good = true;
-            std::string why;
-            if (pruned) {
-                ++out.prunedRuns;
-                res.completed = true;
-                res.cycles = baseline.cycles;
-                res.instructions = baseline.instructions;
-                res.wcirtCeiling = bound.cycles;
-            } else {
-                trap::TrapController controller(*core, tconfig);
-                res = controller.run(
-                    workload.trace(),
-                    trap::InterruptSource::periodic(period, 1));
-
-                good = res.ok();
-                why = res.error;
-                if (good && !res.oracleFailure.empty()) {
-                    good = false;
-                    why = res.oracleFailure;
-                }
-                if (good) {
-                    auto replay = trap::replayFunctional(
-                        workload.program, tconfig, res.deliveries);
-                    if (!replay.ok) {
-                        good = false;
-                        why = replay.error;
-                    } else if (replay.state != res.state ||
-                               replay.memory != res.memory ||
-                               replay.trapRegs != res.trapRegs) {
-                        good = false;
-                        why = "timing run and functional replay "
-                              "disagree on the final state";
-                    }
-                }
-            }
-            const double pctCeil =
-                res.wcirtCeiling
-                    ? 100.0 *
-                          static_cast<double>(res.maxDeliveryLatency) /
-                          static_cast<double>(res.wcirtCeiling)
-                    : 0.0;
-            double degrade =
-                baseline.cycles
-                    ? 100.0 *
-                          (static_cast<double>(res.cycles) -
-                           static_cast<double>(baseline.cycles)) /
-                          static_cast<double>(baseline.cycles)
-                    : 0.0;
-
+            trap::StormRun run = storm.run(period, !cli.noPrune);
+            const trap::TrapRunResult &res = run.result;
+            out.prunedRuns += run.pruned;
             if (cli.json) {
-                out.jsonLines.push_back(detail::vformat(
-                    "{\"workload\": \"%s\", \"core\": \"%s\", "
-                    "\"k\": %llu, \"deliveries\": %zu, "
-                    "\"handler_mean_cycles\": %.2f, "
-                    "\"handler_max_cycles\": %llu, "
-                    "\"cycles\": %llu, \"baseline_cycles\": %llu, "
-                    "\"degradation_pct\": %.2f, \"wcirt\": %llu, "
-                    "\"max_delivery_latency\": %llu, "
-                    "\"pct_ceiling\": %.2f, \"ok\": %s, "
-                    "\"pruned\": %s}",
-                    workload.name.c_str(), coreKindName(kind),
-                    static_cast<unsigned long long>(period),
-                    res.deliveries.size(), res.meanHandlerCycles(),
-                    static_cast<unsigned long long>(
-                        res.maxHandlerCycles()),
-                    static_cast<unsigned long long>(res.cycles),
-                    static_cast<unsigned long long>(baseline.cycles),
-                    degrade,
-                    static_cast<unsigned long long>(res.wcirtCeiling),
-                    static_cast<unsigned long long>(
-                        res.maxDeliveryLatency),
-                    pctCeil, good ? "true" : "false",
-                    pruned ? "true" : "false"));
+                out.jsonLines.push_back(storm.json(run));
             } else {
                 out.rows.push_back(
                     {workload.name, coreKindName(kind),
@@ -1057,15 +952,16 @@ cmdStorm(const Cli &cli)
                      TextTable::fmt(
                          std::uint64_t{res.maxHandlerCycles()}),
                      TextTable::fmt(res.cycles),
-                     TextTable::fmt(degrade, 1),
+                     TextTable::fmt(run.degradationPct(), 1),
                      TextTable::fmt(res.wcirtCeiling),
-                     TextTable::fmt(pctCeil, 1),
-                     good ? "ok" : "FAIL"});
+                     TextTable::fmt(run.pctCeiling(), 1),
+                     run.ok() ? "ok" : "FAIL"});
             }
-            if (!good && out.firstFailure.empty()) {
+            if (!run.ok() && out.firstFailure.empty()) {
                 out.firstFailure = workload.name + " on " +
                                    coreKindName(kind) + " (K=" +
-                                   std::to_string(period) + "): " + why;
+                                   std::to_string(period) +
+                                   "): " + run.failure;
             }
         }
         return out;
@@ -1074,9 +970,9 @@ cmdStorm(const Cli &cli)
     bool ok = true;
     std::string firstFailure;
     std::size_t prunedRuns = 0;
-    par::mapReduce<StormCell>(
+    par::mapReduce<CellReport>(
         &pool, cells, 0, runCell,
-        [&](int &, StormCell &cell, std::size_t) {
+        [&](int &, CellReport &cell, std::size_t) {
             for (const std::string &line : cell.jsonLines)
                 std::printf("%s\n", line.c_str());
             for (auto &row : cell.rows)

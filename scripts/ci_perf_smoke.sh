@@ -9,7 +9,9 @@
 #      path (src/engine) is only a speedup, never a semantic change;
 #   3. a one-shot `ruusim run` of a one-instruction program and of
 #      lll01 must each stay under MAX_FIXED_RSS_MIB peak RSS, so a
-#      command that builds or copies workloads it does not name fails.
+#      command that builds or copies workloads it does not name fails;
+#      so must a one-cell `storm lll03`, whose thousands of deliveries
+#      must not each leave a regenerated trace and stream behind.
 # Wall-clocks of all runs are recorded to a BENCH_perf.json so both
 # speedups are tracked over time. Byte-identity is the gate; speed is
 # a measurement — shared CI runners cannot promise real cores, so the
@@ -139,10 +141,12 @@ EOF
     }
 }
 
-echo "== fixed cost: one-shot runs under ${MAX_FIXED_RSS_MIB} MiB peak RSS"
+echo "== fixed cost: one-shot commands under ${MAX_FIXED_RSS_MIB} MiB peak RSS"
 printf '.program halt\n    halt\n' > "$WORKDIR/halt.s"
 fcheck "run halt.s --json" "$RUUSIM" run "$WORKDIR/halt.s" --json
 fcheck "run lll01 --json" "$RUUSIM" run lll01 --json
+fcheck "storm lll03 --core ruu --points 1 -j1" \
+    "$RUUSIM" storm lll03 --core ruu --points 1 -j1
 
 echo "== pool-size sweep: -j1 vs -j$JOBS must be byte-identical"
 ss=$(timed "$WORKDIR/sweep_serial.txt" "$RUUSIM" sweep suite -j1)

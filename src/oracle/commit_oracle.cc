@@ -162,6 +162,7 @@ CommitOracle::onCommit(SeqNum seq, const TraceRecord &record)
     last = seq;
 
     _committed[seq] = true;
+    _committedEnd = std::max(_committedEnd, seq + 1);
     ++_commits;
     stepLockstep();
 }
@@ -307,7 +308,9 @@ CommitOracle::finish(const RunResult &result)
                 return false;
             }
         }
-        for (SeqNum seq = result.faultSeq; seq < _trace.size(); ++seq) {
+        // Nothing past the youngest commit is marked, so the scan stops
+        // there rather than at the end of a trace a later segment resumes.
+        for (SeqNum seq = result.faultSeq; seq < _committedEnd; ++seq) {
             if (isEffectful(_trace.at(seq)) && _committed[seq]) {
                 fail(seq, vformat("precise interrupt committed seq "
                                   "%llu, younger than the fault at %llu",

@@ -105,6 +105,7 @@ class CommitOracle : public CommitObserver
     std::optional<std::size_t> _expectIndex; //!< successor static index
 
     std::vector<bool> _committed;
+    SeqNum _committedEnd = 0; //!< one past the youngest committed seq
     std::uint64_t _commits = 0;
     // Last commit per order class. Under DataInOrder each class must be
     // internally sequential but the classes may interleave freely:

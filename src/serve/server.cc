@@ -1,6 +1,5 @@
 #include "serve/server.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -24,7 +23,6 @@
 #include "inject/sandbox.hh"
 #include "kernels/lll.hh"
 #include "lint/dataflow_bound.hh"
-#include "lint/wcirt.hh"
 #include "par/ordered.hh"
 #include "serve/cache.hh"
 #include "serve/protocol.hh"
@@ -32,9 +30,7 @@
 #include "serve/recovery.hh"
 #include "sim/json.hh"
 #include "sim/machine.hh"
-#include "trap/controller.hh"
-#include "trap/handlers.hh"
-#include "trap/interrupt_source.hh"
+#include "trap/storm.hh"
 
 namespace ruu::serve
 {
@@ -92,92 +88,6 @@ struct JobOutcome
     std::string text;         //!< payload (Done) or diagnostic
     std::uint64_t key = 0;
 };
-
-/**
- * The sandboxed body of a periodic-interrupt job: one cell of the
- * `ruusim storm` sweep (baseline run, compact-layout heuristic,
- * counter handler, WCIRT ceiling, oracle + bit-exact replay checks),
- * reported in the storm --json line format.
- */
-std::string
-runPeriodicJob(const Workload &workload, CoreKind kind,
-               const UarchConfig &config, std::uint64_t period)
-{
-    trap::TrapConfig tconfig;
-    tconfig.checkOracle = true;
-    Addr maxAddr = 0;
-    for (const auto &record : workload.trace().records())
-        maxAddr = std::max(maxAddr, record.memAddr);
-    for (const auto &init : workload.program->dataInits())
-        maxAddr = std::max(maxAddr, init.addr);
-    if (maxAddr < 0xe000) {
-        tconfig.layout.exchangeBase = 0xf000;
-        tconfig.layout.scratchBase = 0xf800;
-        tconfig.memoryWords = 1u << 16;
-    }
-    auto handlerProg =
-        std::make_shared<const Program>(trap::counterHandler());
-    tconfig.handler = handlerProg;
-
-    auto core = makeCore(kind, config);
-    RunResult baseline = core->run(workload.trace());
-
-    trap::TrapController controller(*core, tconfig);
-    trap::TrapRunResult res = controller.run(
-        workload.trace(),
-        trap::InterruptSource::periodic(static_cast<Cycle>(period), 1));
-
-    bool good = res.ok();
-    std::string why = res.error;
-    if (good && !res.oracleFailure.empty()) {
-        good = false;
-        why = res.oracleFailure;
-    }
-    if (good) {
-        auto replay = trap::replayFunctional(workload.program, tconfig,
-                                             res.deliveries);
-        if (!replay.ok) {
-            good = false;
-            why = replay.error;
-        } else if (replay.state != res.state ||
-                   replay.memory != res.memory ||
-                   replay.trapRegs != res.trapRegs) {
-            good = false;
-            why = "timing run and functional replay disagree on the "
-                  "final state";
-        }
-    }
-    const double pctCeil =
-        res.wcirtCeiling
-            ? 100.0 * static_cast<double>(res.maxDeliveryLatency) /
-                  static_cast<double>(res.wcirtCeiling)
-            : 0.0;
-    double degrade =
-        baseline.cycles
-            ? 100.0 *
-                  (static_cast<double>(res.cycles) -
-                   static_cast<double>(baseline.cycles)) /
-                  static_cast<double>(baseline.cycles)
-            : 0.0;
-    return detail::vformat(
-        "{\"workload\": \"%s\", \"core\": \"%s\", "
-        "\"k\": %llu, \"deliveries\": %zu, "
-        "\"handler_mean_cycles\": %.2f, "
-        "\"handler_max_cycles\": %llu, "
-        "\"cycles\": %llu, \"baseline_cycles\": %llu, "
-        "\"degradation_pct\": %.2f, \"wcirt\": %llu, "
-        "\"max_delivery_latency\": %llu, "
-        "\"pct_ceiling\": %.2f, \"ok\": %s, \"pruned\": false}",
-        workload.name.c_str(), coreKindName(kind),
-        static_cast<unsigned long long>(period), res.deliveries.size(),
-        res.meanHandlerCycles(),
-        static_cast<unsigned long long>(res.maxHandlerCycles()),
-        static_cast<unsigned long long>(res.cycles),
-        static_cast<unsigned long long>(baseline.cycles), degrade,
-        static_cast<unsigned long long>(res.wcirtCeiling),
-        static_cast<unsigned long long>(res.maxDeliveryLatency),
-        pctCeil, good ? "true" : "false");
-}
 
 class Server
 {
@@ -407,9 +317,11 @@ Server::runJob(const JobSpec &job, std::size_t index)
                              runToJson(workload.name, core->name(),
                                        run, core->stats()));
             } else {
+                // One cell of the `ruusim storm` sweep, unpruned.
+                trap::StormCell storm(workload, *kind, config);
                 channel.send("RES",
-                             runPeriodicJob(workload, *kind, config,
-                                            job.period));
+                             storm.json(storm.run(
+                                 static_cast<Cycle>(job.period), false)));
             }
         },
         deadline, policy, &retries);

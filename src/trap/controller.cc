@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <sstream>
+#include <unordered_map>
 #include <utility>
 
 #include "arch/executor.hh"
@@ -22,16 +23,74 @@ namespace
 struct Ctx
 {
     std::shared_ptr<const Program> prog;
-    Trace trace;              //!< remaining dynamic instructions
+    Trace trace;              //!< the context's dynamic instructions
     SeqNum segStart = 0;      //!< next dynamic instruction to run
     unsigned level = 0;       //!< 0 = the interrupted program
     bool ieAtTraceStart = true;
-    bool needsRegen = false;  //!< an RTI ran; trace values may be stale
+    bool needsRegen = false;  //!< an RTI failed the keep rule
     bool rtiShadow = false;   //!< one instruction guaranteed post-RTI
     std::uint64_t committed = 0; //!< instructions committed, this ctx
     std::size_t deliveryIndex = 0; //!< handler ctx: its Delivery entry
     Cycle entryCycle = 0;     //!< handler ctx: global cycle of the cut
+
+    // Facts about `trace` every segment needs, computed once by adopt()
+    // rather than rescanned per segment: a kept trace's segStart walks
+    // all the way to the program's end.
+    std::vector<SeqNum> eints; //!< seqs of the trace's EINTs, ascending
+    std::vector<SeqNum> dints; //!< seqs of the trace's DINTs, ascending
+    std::uint64_t maxCycles = 0; //!< per-segment watchdog budget
+    bool keepable = false;     //!< a re-derivation would reproduce it
+    /** Last seq loading each address; built on the first keep check. */
+    std::optional<std::unordered_map<Addr, SeqNum>> lastLoad;
+
+    /** The registers at the pending asynchronous cut, if any. */
+    std::optional<ArchState> cutState;
 };
+
+/**
+ * Make @p trace @p ctx's trace from its first record and index what
+ * every segment asks of it. @p keepable means a functional
+ * re-derivation of any suffix would reproduce the trace record for
+ * record — which needs it to end in HALT (not at the functional
+ * instruction limit) and to carry no fault annotations beyond the ones
+ * annotateInjects() puts back.
+ */
+void
+adopt(Ctx &ctx, Trace trace, bool ie, bool keepable,
+      std::uint64_t maxCycles)
+{
+    ctx.trace = std::move(trace);
+    ctx.segStart = 0;
+    ctx.ieAtTraceStart = ie;
+    ctx.eints.clear();
+    ctx.dints.clear();
+    const auto &records = ctx.trace.records();
+    for (SeqNum s = 0; s < records.size(); ++s) {
+        if (records[s].inst.op == Opcode::EINT)
+            ctx.eints.push_back(s);
+        else if (records[s].inst.op == Opcode::DINT)
+            ctx.dints.push_back(s);
+    }
+    ctx.maxCycles = maxCycles;
+    ctx.keepable = keepable && !records.empty() &&
+                   records.back().inst.op == Opcode::HALT;
+    ctx.lastLoad.reset();
+}
+
+/** The IE state @p ctx's trace implies just before seq @p seq. */
+bool
+ieAt(const Ctx &ctx, SeqNum seq)
+{
+    auto lastBefore = [seq](const std::vector<SeqNum> &seqs) {
+        auto it = std::lower_bound(seqs.begin(), seqs.end(), seq);
+        return it == seqs.begin() ? kNoSeqNum : *(it - 1);
+    };
+    SeqNum eint = lastBefore(ctx.eints);
+    SeqNum dint = lastBefore(ctx.dints);
+    if (eint == kNoSeqNum && dint == kNoSeqNum)
+        return ctx.ieAtTraceStart;
+    return dint == kNoSeqNum || (eint != kNoSeqNum && eint > dint);
+}
 
 /** Interrupt-eligible cut range [minSeq, maxSeq] within a trace. */
 struct IrqWindow
@@ -42,48 +101,74 @@ struct IrqWindow
 };
 
 /**
- * Compute where in @p trace (from @p segStart) an asynchronous cut may
+ * Where in @p ctx's trace (from its segStart) an asynchronous cut may
  * legally land, given the EINT/DINT instructions the trace itself
  * carries. A cut at seq s commits exactly [segStart, s), so a cut at a
  * DINT's own seq is still inside the window — the DINT has not
  * committed yet.
  */
 IrqWindow
-irqWindow(const Trace &trace, SeqNum segStart, bool ieInitial)
+irqWindow(const Ctx &ctx)
 {
-    bool ie = ieInitial;
-    for (SeqNum s = 0; s < segStart && s < trace.size(); ++s) {
-        Opcode op = trace.at(s).inst.op;
-        if (op == Opcode::EINT)
-            ie = true;
-        else if (op == Opcode::DINT)
-            ie = false;
-    }
-
     IrqWindow win;
-    if (ie) {
-        win.minSeq = segStart;
+    if (ieAt(ctx, ctx.segStart)) {
+        win.minSeq = ctx.segStart;
     } else {
-        SeqNum eint = kNoSeqNum;
-        for (SeqNum s = segStart; s < trace.size(); ++s) {
-            if (trace.at(s).inst.op == Opcode::EINT) {
-                eint = s;
-                break;
-            }
-        }
-        if (eint == kNoSeqNum)
+        auto eint = std::lower_bound(ctx.eints.begin(), ctx.eints.end(),
+                                     ctx.segStart);
+        if (eint == ctx.eints.end())
             return win;
-        win.minSeq = eint + 1;
+        win.minSeq = *eint + 1;
     }
     win.open = true;
-    win.maxSeq = trace.size();
-    for (SeqNum s = win.minSeq; s < trace.size(); ++s) {
-        if (trace.at(s).inst.op == Opcode::DINT) {
-            win.maxSeq = s;
-            break;
-        }
-    }
+    auto dint =
+        std::lower_bound(ctx.dints.begin(), ctx.dints.end(), win.minSeq);
+    win.maxSeq = dint == ctx.dints.end() ? ctx.trace.size() : *dint;
     return win;
+}
+
+/** Append the words @p trace stores to. */
+void
+noteStores(std::vector<Addr> &written, const Trace &trace)
+{
+    for (const TraceRecord &rec : trace.records())
+        if (isStore(rec.inst.op))
+            written.push_back(rec.memAddr);
+}
+
+/**
+ * The keep rule, checked at an RTI back into @p ctx: true when
+ * re-deriving the context from the restored architectural state would
+ * reproduce its remaining trace record for record. The re-derivation
+ * starts from the same registers at the same pc with the same IE, and
+ * every load from segStart on reads a word nothing in @p written (the
+ * words stored or exchanged since the cut) has touched — so every
+ * record comes out the same.
+ */
+bool
+keepsTrace(Ctx &ctx, const ArchState &state, const TrapRegs &regs,
+           const std::vector<Addr> &written)
+{
+    if (!ctx.keepable || !ctx.cutState ||
+        ctx.segStart >= ctx.trace.size())
+        return false;
+    if (!(state == *ctx.cutState) ||
+        regs.epc != ctx.trace.at(ctx.segStart).pc ||
+        regs.ie() != ieAt(ctx, ctx.segStart))
+        return false;
+    if (!ctx.lastLoad) {
+        auto &lastLoad = ctx.lastLoad.emplace();
+        const auto &records = ctx.trace.records();
+        for (SeqNum s = 0; s < records.size(); ++s)
+            if (isLoad(records[s].inst.op))
+                lastLoad[records[s].memAddr] = s;
+    }
+    for (Addr addr : written) {
+        auto it = ctx.lastLoad->find(addr);
+        if (it != ctx.lastLoad->end() && it->second >= ctx.segStart)
+            return false;
+    }
+    return true;
 }
 
 /** A functionally generated handler trace, or why it could not be. */
@@ -300,6 +385,13 @@ TrapController::run(const Trace &trace, InterruptSource source,
                                         _core.config(), *kind, params);
         res.wcirtCeiling = bound->cycles;
     }
+    auto budget = [&](const Trace &t) {
+        if (!kind)
+            return _config.maxCyclesPerSegment;
+        return watchdogBudget(
+            _config.maxCyclesPerSegment,
+            lint::wcirtTraceCeiling(t, _core.config(), *kind));
+    };
 
     // The architectural triple every segment threads through.
     ArchState state;
@@ -319,14 +411,26 @@ TrapController::run(const Trace &trace, InterruptSource source,
     injects.erase(std::unique(injects.begin(), injects.end()),
                   injects.end());
 
+    // One slot per trap level, reserved up front: a kept trace never
+    // moves, so its compiled stream stays a cache hit.
     std::vector<Ctx> stack;
+    stack.reserve(_config.layout.maxLevels);
     {
         Ctx outer;
         outer.prog = trace.programPtr();
-        outer.trace = trace;
-        annotateInjects(outer.trace, injects, 0, injectKind);
+        Trace annotated = trace;
+        annotateInjects(annotated, injects, 0, injectKind);
+        const bool ownAnnotations = std::any_of(
+            trace.records().begin(), trace.records().end(),
+            [](const TraceRecord &r) { return r.fault != Fault::None; });
+        adopt(outer, std::move(annotated), true, !ownAnnotations,
+              budget(trace));
         stack.push_back(std::move(outer));
     }
+
+    // Every word stored or exchanged since the program's last cut: the
+    // keep rule's test at the RTI back into it.
+    std::vector<Addr> written;
 
     Cycle now = 0;
     std::uint64_t globalInstr = 0;
@@ -360,18 +464,49 @@ TrapController::run(const Trace &trace, InterruptSource source,
                 std::max(res.maxDeliveryLatency,
                          d.drainCycles + _config.exchangeCycles);
         res.deliveries.push_back(d);
+        res.maxDepth = std::max(res.maxDepth, d.level);
+    };
+
+    // Enter the handler of the delivery just recorded: its trace is
+    // generated functionally from the live triple, and its stores and
+    // its exchange package join the words written since the cut. A
+    // handler trace is never kept across a nested RTI: it reads the
+    // live trap registers, which the nested exchange rewrites.
+    auto enterHandler = [&](const Delivery &d) {
+        HandlerGen gen =
+            generateHandlerTrace(handlerProg, 0, state, memory, regs,
+                                 _config.maxHandlerInstructions);
+        if (!gen.ok) {
+            fail(std::move(gen.error));
+            return false;
+        }
+        Addr pkg = _config.layout.packageBase(d.level);
+        for (unsigned w = 0; w < kExchangeWords; ++w)
+            written.push_back(pkg + w);
+        noteStores(written, gen.trace);
+        Ctx h;
+        h.prog = handlerProg;
+        h.level = d.level;
+        h.deliveryIndex = res.deliveries.size() - 1;
+        h.entryCycle = d.cycle - _config.exchangeCycles;
+        const std::uint64_t maxCycles = budget(gen.trace);
+        adopt(h, std::move(gen.trace), false, false, maxCycles);
+        stack.push_back(std::move(h));
+        return true;
     };
 
     while (true) {
         Ctx &ctx = stack.back();
 
         if (ctx.needsRegen) {
-            // The handler underneath may have written memory this
-            // trace's precomputed values depend on, or edited the
-            // saved epc/frame in its exchange package — so the rest of
-            // the context is always re-derived from the restored
-            // architectural state. This is also exactly what makes a
-            // repaired restartable fault work.
+            // The keep rule did not hold at the RTI: the handler
+            // underneath may have written memory this trace's
+            // precomputed values depend on, or edited the saved epc,
+            // frame or IE in its exchange package — so the rest of the
+            // context is re-derived from the restored architectural
+            // state. This is also exactly what makes a repaired
+            // restartable fault work.
+            ++res.regenerations;
             auto index = ctx.prog->indexOfPc(
                 static_cast<ParcelAddr>(regs.epc));
             if (!index) {
@@ -382,11 +517,12 @@ TrapController::run(const Trace &trace, InterruptSource source,
                 fail(oss.str());
                 break;
             }
+            Trace regenerated;
             if (ctx.level == 0) {
                 FuncResult fr =
                     resumeFunctional(ctx.prog, *index, state, memory);
-                ctx.trace = std::move(fr.trace);
-                annotateInjects(ctx.trace, injects, ctx.committed,
+                regenerated = std::move(fr.trace);
+                annotateInjects(regenerated, injects, ctx.committed,
                                 injectKind);
             } else {
                 HandlerGen gen = generateHandlerTrace(
@@ -396,10 +532,12 @@ TrapController::run(const Trace &trace, InterruptSource source,
                     fail(std::move(gen.error));
                     break;
                 }
-                ctx.trace = std::move(gen.trace);
+                noteStores(written, gen.trace);
+                regenerated = std::move(gen.trace);
             }
-            ctx.segStart = 0;
-            ctx.ieAtTraceStart = regs.ie();
+            const std::uint64_t maxCycles = budget(regenerated);
+            adopt(ctx, std::move(regenerated), regs.ie(), ctx.level == 0,
+                  maxCycles);
             ctx.needsRegen = false;
         }
 
@@ -412,8 +550,7 @@ TrapController::run(const Trace &trace, InterruptSource source,
             break;
         }
 
-        IrqWindow win =
-            irqWindow(ctx.trace, ctx.segStart, ctx.ieAtTraceStart);
+        IrqWindow win = irqWindow(ctx);
         bool canNest = ctx.level + 1 < _config.layout.maxLevels;
         std::optional<InterruptEvent> event;
         if (win.open && canNest)
@@ -423,12 +560,7 @@ TrapController::run(const Trace &trace, InterruptSource source,
         opts.startSeq = ctx.segStart;
         opts.initialState = &state;
         opts.initialMemory = &memory;
-        opts.maxCycles = _config.maxCyclesPerSegment;
-        if (kind)
-            opts.maxCycles = watchdogBudget(
-                _config.maxCyclesPerSegment,
-                lint::wcirtTraceCeiling(ctx.trace, _core.config(),
-                                        *kind));
+        opts.maxCycles = ctx.maxCycles;
         if (event) {
             opts.interruptAt = event->cycle > now ? event->cycle - now : 0;
             opts.interruptMinSeq = win.minSeq;
@@ -477,7 +609,8 @@ TrapController::run(const Trace &trace, InterruptSource source,
                 break;
             }
             // The handler drained through its RTI: exchange back and
-            // resume the interrupted context below.
+            // resume the interrupted context below — on its own trace
+            // when the keep rule holds.
             if (!returnFromTrap(state, memory, regs, _config.layout)) {
                 fail("RTI executed outside an active trap level");
                 break;
@@ -486,10 +619,14 @@ TrapController::run(const Trace &trace, InterruptSource source,
             res.deliveries[ctx.deliveryIndex].handlerCycles =
                 now - ctx.entryCycle;
             stack.pop_back();
-            stack.back().needsRegen = true;
-            stack.back().rtiShadow = true;
+            Ctx &resumed = stack.back();
+            resumed.needsRegen = !keepsTrace(resumed, state, regs, written);
+            resumed.rtiShadow = true;
             continue;
         }
+
+        if (ctx.level == 0)
+            written.clear(); // a new cut of the program
 
         if (seg.fault == Fault::Interrupt) {
             // Asynchronous cut: instructions [segStart, faultSeq) have
@@ -500,6 +637,7 @@ TrapController::run(const Trace &trace, InterruptSource source,
             if (!within)
                 continue; // window closed first; the event stays pending
 
+            ctx.cutState = state;
             unsigned level = ctx.level + 1;
             Word cause = kCauseExternal + event->priority;
             regs.setIe(true); // the cut point was interrupt-enabled
@@ -523,23 +661,8 @@ TrapController::run(const Trace &trace, InterruptSource source,
                 now - std::min<Cycle>(event->cycle, now);
             d.drainCycles = measuredDrain(seg);
             recordDelivery(d);
-            res.maxDepth = std::max(res.maxDepth, level);
-
-            HandlerGen gen = generateHandlerTrace(
-                handlerProg, 0, state, memory, regs,
-                _config.maxHandlerInstructions);
-            if (!gen.ok) {
-                fail(std::move(gen.error));
+            if (!enterHandler(d))
                 break;
-            }
-            Ctx h;
-            h.prog = handlerProg;
-            h.trace = std::move(gen.trace);
-            h.level = level;
-            h.ieAtTraceStart = false;
-            h.deliveryIndex = res.deliveries.size() - 1;
-            h.entryCycle = now - _config.exchangeCycles;
-            stack.push_back(std::move(h));
             continue;
         }
 
@@ -589,7 +712,6 @@ TrapController::run(const Trace &trace, InterruptSource source,
         d.cycle = now;
         d.drainCycles = measuredDrain(seg);
         recordDelivery(d);
-        res.maxDepth = std::max(res.maxDepth, level);
 
         // If this position was an injected fault, it has now fired;
         // the regenerated trace restarts the instruction cleanly, which
@@ -599,23 +721,9 @@ TrapController::run(const Trace &trace, InterruptSource source,
         if (it != injects.end())
             injects.erase(it);
 
-        ctx.needsRegen = true; // resume is epc-driven after the RTI
-
-        HandlerGen gen =
-            generateHandlerTrace(handlerProg, 0, state, memory, regs,
-                                 _config.maxHandlerInstructions);
-        if (!gen.ok) {
-            fail(std::move(gen.error));
+        ctx.cutState.reset(); // resume is epc-driven after the RTI
+        if (!enterHandler(d))
             break;
-        }
-        Ctx h;
-        h.prog = handlerProg;
-        h.trace = std::move(gen.trace);
-        h.level = level;
-        h.ieAtTraceStart = false;
-        h.deliveryIndex = res.deliveries.size() - 1;
-        h.entryCycle = now - _config.exchangeCycles;
-        stack.push_back(std::move(h));
     }
 
     res.cycles = now;
@@ -625,6 +733,24 @@ TrapController::run(const Trace &trace, InterruptSource source,
     res.memory = std::move(memory);
     res.trapRegs = regs;
     return res;
+}
+
+void
+fitTrapMemory(TrapConfig &config, const Trace &trace)
+{
+    // The 0x800 alignment keeps each word's bank under any power-of-two
+    // bank count up to 2048; the scratch area takes the next aligned
+    // block, as scratchBase = exchangeBase + 0x800 does by default.
+    constexpr Addr kAlign = 0x800;
+    Addr top = 0;
+    for (const TraceRecord &rec : trace.records())
+        if (isMemory(rec.inst.op) && rec.fault == Fault::None)
+            top = std::max(top, rec.memAddr + 1);
+    for (const auto &init : trace.program().dataInits())
+        top = std::max(top, init.addr + 1);
+    config.layout.exchangeBase = (top + kAlign - 1) / kAlign * kAlign;
+    config.layout.scratchBase = config.layout.exchangeBase + kAlign;
+    config.memoryWords = config.layout.scratchBase + kScratchWords;
 }
 
 ReplayResult

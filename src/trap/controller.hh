@@ -19,10 +19,19 @@
  *      registers) and run it as the next segment *on the same core* —
  *      handlers pay the same structural hazards as any other code;
  *   4. at the handler's RTI, exchange back and resume the interrupted
- *      context at the restored epc, regenerating its remaining trace
- *      (the handler may have written memory the pre-computed trace
- *      values no longer reflect — or edited the saved frame/epc, which
- *      is how a handler repairs a restartable fault);
+ *      context at the restored epc. An asynchronously cut program
+ *      keeps its trace — and with it its compiled stream and watchdog
+ *      budget — when the RTI provably resumes the very sequential
+ *      state it was cut in: the restored registers equal the cut's,
+ *      the restored epc is the next record's pc, IE is what the trace
+ *      implies there, and no word written since the cut (a handler
+ *      store at any nesting level, or an exchange-package word) is
+ *      loaded by the trace from there on. Otherwise the remaining
+ *      trace is regenerated from the restored state: after a
+ *      synchronous fault (a repair handler), a handler that edited the
+ *      saved frame or epc or the IE bit of the saved status, a handler
+ *      store the program later reads, and on every return into a
+ *      handler level;
  *   5. nested interrupts: inside a handler's EINT..DINT window a
  *      higher-priority event may cut the handler segment itself, and
  *      delivery recurses one level deeper. The per-level exchange
@@ -61,10 +70,11 @@ struct TrapConfig
 
     /**
      * Data-memory capacity in words for the run and its replay. The
-     * exchange packages must fit below it (TrapLayout::fits). Storm
-     * sweeps restart the core once per delivery, and every restart
-     * copies the memory image — a compact memory makes a
-     * thousand-delivery sweep dramatically cheaper.
+     * exchange packages must fit below it (TrapLayout::fits). Every
+     * segment copies the memory image, so fitTrapMemory() places the
+     * trap area just above the program's data and ends the image
+     * there: a storm's per-segment cost then tracks the program's
+     * footprint, not the default 8 MiB.
      */
     std::size_t memoryWords = Memory::kDefaultWords;
 
@@ -149,7 +159,8 @@ struct TrapRunResult
     std::uint64_t impreciseSyncDeliveries = 0;
 
     ArchState state;
-    Memory memory;
+    /** Final memory; empty (zero words) until a run materializes it. */
+    Memory memory{0};
     TrapRegs trapRegs;
     std::vector<Delivery> deliveries;
 
@@ -171,6 +182,13 @@ struct TrapRunResult
      * the controller asserts this per delivery, in-run.
      */
     Cycle maxDeliveryLatency = 0;
+
+    /**
+     * Contexts re-derived functionally at an RTI because the keep rule
+     * (step 4 of the file comment) did not hold. Diagnostic only: it
+     * appears in no report or JSON.
+     */
+    std::uint64_t regenerations = 0;
 
     /** Worst measured drain residue across deliveries (0 when none). */
     Cycle maxDrainCycles() const;
@@ -211,13 +229,25 @@ class TrapController
     TrapConfig _config;
 };
 
+/**
+ * Place @p config's exchange packages and scratch area just above the
+ * highest data word @p trace's program touches (loads, stores and data
+ * initializers), and end the data memory with the stock handlers'
+ * scratch words (kScratchWords). Both areas start on a multiple of
+ * 0x800, so every package and scratch word sits in the same memory
+ * bank (address mod UarchConfig::memoryBanks) as under the default
+ * layout, for up to 2048 banks.
+ */
+void fitTrapMemory(TrapConfig &config, const Trace &trace);
+
 /** Outcome of a functional replay of a delivery log. */
 struct ReplayResult
 {
     bool ok = false;
     std::string error;
     ArchState state;
-    Memory memory;
+    /** Final memory; empty (zero words) until a replay materializes it. */
+    Memory memory{0};
     TrapRegs trapRegs;
     std::uint64_t instructions = 0;
 };

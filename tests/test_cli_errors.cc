@@ -194,6 +194,30 @@ TEST(CliErrors, StormSmokeRunsClean)
     EXPECT_EQ(runCli("storm lll01 --core ruu --points 2"), 0);
 }
 
+TEST(CliErrors, StormKeepsDataInTheDefaultExchangeArea)
+{
+    // The program's only data word, 0xff018, is where the default
+    // layout puts the level-1 exchange package. The storm's trap area
+    // must sit above it rather than zero it, on every core.
+    REQUIRE_BINARY();
+    writeFile("xarea.s",
+              ".program xarea\n"
+              ".word 1044504, 7\n"
+              "    amovi A1, 1044504\n"
+              "    amovi A2, 4\n"
+              "    amovi A3, 1\n"
+              "    smovi S2, 1\n"
+              "loop:\n"
+              "    lds   S1, 0(A1)\n"
+              "    sadd  S1, S1, S2\n"
+              "    sts   0(A1), S1\n"
+              "    asub  A2, A2, A3\n"
+              "    mova  A0, A2\n"
+              "    jan   loop\n"
+              "    halt\n");
+    EXPECT_EQ(runCli("storm xarea.s --points 1"), 0);
+}
+
 TEST(CliErrors, InjectUnknownCoreInListExitsTwo)
 {
     REQUIRE_BINARY();

@@ -21,6 +21,7 @@
 #include "trap/controller.hh"
 #include "trap/handlers.hh"
 #include "trap/interrupt_source.hh"
+#include "trap/storm.hh"
 #include "trap/trap.hh"
 
 namespace ruu
@@ -360,6 +361,11 @@ TEST(TrapServicing, PeriodicStormOnAllSixCoresReplaysBitExactly)
         // run — handlers included — must replay bit-exactly.
         expectReplayMatches(w, config, res, coreKindName(kind));
 
+        // The counter handler writes only its scratch area and its own
+        // exchange package, which the program never loads: every RTI
+        // keeps the program's trace.
+        EXPECT_EQ(res.regenerations, 0u) << coreKindName(kind);
+
         // The handler's scratch counter saw every delivery.
         Word count =
             res.memory.at(config.layout.scratchBase + kCauseExternal + 1);
@@ -480,9 +486,258 @@ TEST(TrapServicing, StormAcceptanceMatrixOnALivermoreKernel)
                       static_cast<Cycle>(res.meanHandlerCycles()));
             EXPECT_TRUE(res.state == w.func.finalState)
                 << coreKindName(kind) << " K=" << period;
+            EXPECT_EQ(res.regenerations, 0u)
+                << coreKindName(kind) << " K=" << period;
             expectReplayMatches(w, config, res, coreKindName(kind));
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The keep rule: an RTI keeps the interrupted program's trace only when
+// re-deriving it would reproduce it. Each handler below breaks one of
+// the rule's conditions, so the program's trace must be regenerated —
+// and the run must still replay bit-exactly.
+
+/** Word 107 holds the loop's last element (17); it is loaded last. */
+constexpr Addr kLastElement = 107;
+constexpr Word kPatched = 1000;
+
+/** The loop's sum once the last element reads kPatched. */
+constexpr Word kPatchedSum = 10 + 11 + 12 + 13 + 14 + 15 + 16 + kPatched;
+
+/** A handler that overwrites the loop's last element. */
+Program
+patchingHandler()
+{
+    ProgramBuilder b("trap_patching_handler");
+    b.handler();
+    b.amovi(regA(1), kLastElement);
+    b.smovi(regS(1), kPatched);
+    b.sts(regA(1), 0, regS(1));
+    b.rti();
+    return b.build();
+}
+
+/**
+ * A handler that opens an EINT window at level 1 and patches the
+ * loop's last element only when entered at level 2 (the nested,
+ * priority-2 cause).
+ */
+Program
+nestedPatchingHandler()
+{
+    ProgramBuilder b("trap_nested_patching_handler");
+    b.handler();
+    b.mfcause(regS(1));
+    b.movas(regA(1), regS(1));
+    b.amovi(regA(2), kCauseExternal + 2);
+    b.asub(regA(0), regA(1), regA(2));
+    b.jaz("nested");
+    b.eint(); // preemption window opens
+    b.nop();
+    b.nop();
+    b.nop();
+    b.dint(); // window closes
+    b.rti();
+    b.label("nested");
+    b.amovi(regA(3), kLastElement);
+    b.smovi(regS(4), kPatched);
+    b.sts(regA(3), 0, regS(4));
+    b.rti();
+    return b.build();
+}
+
+/** A handler that restarts the interrupted program from its start. */
+Program
+restartingHandler()
+{
+    ProgramBuilder b("trap_restarting_handler");
+    b.handler();
+    b.smovi(regS(1), 0);
+    b.sts(regA(7), trap::kPkgEpc, regS(1)); // saved epc := pc 0
+    b.rti();
+    return b.build();
+}
+
+/** A handler that overwrites the program's running sum, S1. */
+Program
+sumEditingHandler()
+{
+    ProgramBuilder b("trap_sum_editing_handler");
+    b.handler();
+    b.smovi(regS(1), 5000);
+    b.sts(regA(7), trap::kPkgS + 1, regS(1)); // saved S1 := 5000
+    b.rti();
+    return b.build();
+}
+
+TEST(TrapKeepRule, HandlerStoreTheProgramLoadsRegenerates)
+{
+    const Workload &w = loopWorkload();
+    for (CoreKind kind : kAllCores) {
+        auto core = makeCore(kind, UarchConfig{});
+        TrapConfig config = makeConfig();
+        config.handler = std::make_shared<const Program>(patchingHandler());
+        TrapController controller(*core, config);
+        TrapRunResult res =
+            controller.run(w.trace(), InterruptSource::schedule({{0, 1}}));
+        ASSERT_TRUE(res.completed) << coreKindName(kind) << ": "
+                                   << res.error;
+        ASSERT_EQ(res.deliveries.size(), 1u) << coreKindName(kind);
+        EXPECT_EQ(res.regenerations, 1u) << coreKindName(kind);
+        EXPECT_TRUE(res.oracleFailure.empty())
+            << coreKindName(kind) << ": " << res.oracleFailure;
+        EXPECT_EQ(res.memory.at(108), kPatchedSum) << coreKindName(kind);
+        expectReplayMatches(w, config, res, coreKindName(kind));
+    }
+}
+
+TEST(TrapKeepRule, NestedHandlerStoreRegeneratesTheProgram)
+{
+    const Workload &w = loopWorkload();
+    for (CoreKind kind : kAllCores) {
+        auto core = makeCore(kind, UarchConfig{});
+        TrapConfig config = makeConfig();
+        config.handler =
+            std::make_shared<const Program>(nestedPatchingHandler());
+        TrapController controller(*core, config);
+        TrapRunResult res = controller.run(
+            w.trace(), InterruptSource::schedule({{0, 1}, {1, 2}}));
+        ASSERT_TRUE(res.completed) << coreKindName(kind) << ": "
+                                   << res.error;
+        ASSERT_EQ(res.deliveries.size(), 2u) << coreKindName(kind);
+        EXPECT_EQ(res.deliveries[1].level, 2u) << coreKindName(kind);
+        // The level-1 handler resumes on a regenerated trace, as every
+        // handler level does; the program's, because of the level-2
+        // store it is about to load.
+        EXPECT_EQ(res.regenerations, 2u) << coreKindName(kind);
+        EXPECT_TRUE(res.oracleFailure.empty())
+            << coreKindName(kind) << ": " << res.oracleFailure;
+        EXPECT_EQ(res.memory.at(108), kPatchedSum) << coreKindName(kind);
+        expectReplayMatches(w, config, res, coreKindName(kind));
+    }
+}
+
+TEST(TrapKeepRule, SavedEpcEditRegenerates)
+{
+    const Workload &w = loopWorkload();
+    for (CoreKind kind : kAllCores) {
+        auto core = makeCore(kind, UarchConfig{});
+        TrapConfig config = makeConfig();
+        config.handler =
+            std::make_shared<const Program>(restartingHandler());
+        TrapController controller(*core, config);
+        TrapRunResult res = controller.run(
+            w.trace(), InterruptSource::schedule({{30, 1}}));
+        ASSERT_TRUE(res.completed) << coreKindName(kind) << ": "
+                                   << res.error;
+        ASSERT_EQ(res.deliveries.size(), 1u) << coreKindName(kind);
+        ASSERT_NE(res.deliveries[0].epc, 0u) << coreKindName(kind);
+        EXPECT_EQ(res.regenerations, 1u) << coreKindName(kind);
+        EXPECT_TRUE(res.oracleFailure.empty())
+            << coreKindName(kind) << ": " << res.oracleFailure;
+        // The restart re-ran a prefix of the program, which recomputes
+        // the same result.
+        EXPECT_GT(res.instructions - res.handlerInstructions,
+                  w.trace().size())
+            << coreKindName(kind);
+        EXPECT_TRUE(res.state == w.func.finalState) << coreKindName(kind);
+        expectReplayMatches(w, config, res, coreKindName(kind));
+    }
+}
+
+TEST(TrapKeepRule, SavedFrameEditRegenerates)
+{
+    const Workload &w = loopWorkload();
+    for (CoreKind kind : kAllCores) {
+        auto core = makeCore(kind, UarchConfig{});
+        TrapConfig config = makeConfig();
+        config.handler =
+            std::make_shared<const Program>(sumEditingHandler());
+        TrapController controller(*core, config);
+        TrapRunResult res = controller.run(
+            w.trace(), InterruptSource::schedule({{30, 1}}));
+        ASSERT_TRUE(res.completed) << coreKindName(kind) << ": "
+                                   << res.error;
+        ASSERT_EQ(res.deliveries.size(), 1u) << coreKindName(kind);
+        EXPECT_EQ(res.regenerations, 1u) << coreKindName(kind);
+        EXPECT_TRUE(res.oracleFailure.empty())
+            << coreKindName(kind) << ": " << res.oracleFailure;
+        EXPECT_GT(res.memory.at(108), 5000u) << coreKindName(kind);
+        expectReplayMatches(w, config, res, coreKindName(kind));
+    }
+}
+
+// ---------------------------------------------------------------------
+// The storm cell shared by `ruusim storm` and ruusimd's period jobs.
+
+TEST(StormCellTest, FitsTheTrapAreaAboveTheProgramsData)
+{
+    const Workload &w = loopWorkload(); // highest word: 108
+    TrapConfig config;
+    trap::fitTrapMemory(config, w.trace());
+    EXPECT_EQ(config.layout.exchangeBase, 0x800u);
+    EXPECT_EQ(config.layout.scratchBase, 0x1000u);
+    EXPECT_EQ(config.memoryWords, 0x1000u + trap::kScratchWords);
+
+    // Data inside the default exchange area pushes the trap area past
+    // it, on the next 0x800 boundary.
+    ProgramBuilder b("trap_high_data");
+    b.word(0xff018, 7);
+    b.amovi(regA(1), 0xff018);
+    b.lds(regS(1), regA(1), 0);
+    b.halt();
+    Workload high = makeWorkload(b.build());
+    trap::fitTrapMemory(config, high.trace());
+    EXPECT_EQ(config.layout.exchangeBase, 0xff800u);
+    EXPECT_EQ(config.layout.scratchBase, 0x100000u);
+    for (CoreKind kind : kAllCores) {
+        trap::StormCell cell(high, kind, UarchConfig{});
+        trap::StormRun run = cell.run(16, false);
+        EXPECT_TRUE(run.ok()) << coreKindName(kind) << ": " << run.failure;
+        EXPECT_EQ(run.result.memory.at(0xff018), 7u) << coreKindName(kind);
+    }
+}
+
+TEST(StormCellTest, ReproducesTheStormJsonLine)
+{
+    const Workload &w = livermoreWorkloads()[2]; // lll03
+    trap::StormCell cell(w, CoreKind::Ruu, UarchConfig::cray1());
+    trap::StormRun run = cell.run(64, true);
+    EXPECT_EQ(run.result.regenerations, 0u);
+    EXPECT_EQ(cell.json(run),
+              "{\"workload\": \"lll03\", \"core\": \"ruu\", \"k\": 64, "
+              "\"deliveries\": 1998, \"handler_mean_cycles\": 45.00, "
+              "\"handler_max_cycles\": 45, \"cycles\": 127875, "
+              "\"baseline_cycles\": 19518, \"degradation_pct\": 555.16, "
+              "\"wcirt\": 327, \"max_delivery_latency\": 34, "
+              "\"pct_ceiling\": 10.40, \"ok\": true, \"pruned\": false}");
+}
+
+TEST(StormCellTest, CheckReportsEachFailureReason)
+{
+    const Workload &w = loopWorkload();
+    TrapConfig config = makeConfig();
+
+    TrapRunResult res;
+    res.completed = true;
+    res.oracleFailure = "seq 3: committed record does not match";
+    EXPECT_EQ(trap::checkStormRun(w.program, config, res),
+              res.oracleFailure);
+
+    res.failed = true;
+    res.error = "double fault";
+    EXPECT_EQ(trap::checkStormRun(w.program, config, res), "double fault");
+
+    // A clean controller verdict still has to survive the replay: an
+    // empty delivery log replays the bare program, whose final memory
+    // this result does not carry.
+    TrapRunResult unreplayed;
+    unreplayed.completed = true;
+    EXPECT_EQ(trap::checkStormRun(w.program, config, unreplayed),
+              "timing run and functional replay disagree on the final "
+              "state");
 }
 
 } // namespace
