@@ -1037,8 +1037,9 @@ cmdInject(const Cli &cli)
 {
     if (cli.positional.size() != 1)
         usage();
+    const auto &workloads = resolveWorkloads(cli.positional[0]);
     inject::CampaignOptions options;
-    options.workloads = resolveWorkloads(cli.positional[0]);
+    options.workloads.assign(workloads.begin(), workloads.end());
     if (!cli.injectCores.empty())
         options.cores = cli.injectCores;
     else if (cli.coreSet)

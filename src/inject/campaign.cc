@@ -383,7 +383,7 @@ TrialSampler::point(std::uint64_t index)
     point.cycle = splitmix64(state) % (info->lastTapCycle + 1);
     point.bit = splitmix64(state) % info->totalBits;
     point.core = coreKindName(_options.cores[core_index]);
-    point.workload = _options.workloads[workload_index].name;
+    point.workload = _options.workloads[workload_index].get().name;
     return point;
 }
 

@@ -113,7 +113,12 @@ class InjectorTap : public MachineTap
 struct CampaignOptions
 {
     std::vector<CoreKind> cores;
-    std::vector<Workload> workloads;
+
+    /**
+     * Bound by reference, never copied: each workload (its trace and
+     * memory images) must outlive every campaign call that uses it.
+     */
+    std::vector<std::reference_wrapper<const Workload>> workloads;
     std::uint64_t trials = 1000;
     std::uint64_t seed = 1;
     unsigned timeoutMs = 10'000;   //!< per-trial wall-clock watchdog

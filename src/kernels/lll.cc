@@ -1,5 +1,8 @@
 #include "kernels/lll.hh"
 
+#include <iterator>
+#include <mutex>
+
 namespace ruu
 {
 
@@ -55,6 +58,22 @@ livermoreWorkload(const std::string &name)
         if (name == entry.name)
             return makeWorkload(entry.make().program);
     return std::nullopt;
+}
+
+const Workload *
+sharedLivermoreWorkload(const std::string &name)
+{
+    constexpr std::size_t kCount = std::size(kKernels);
+    static std::once_flag built[kCount];
+    static std::optional<Workload> workloads[kCount];
+    for (std::size_t i = 0; i < kCount; ++i)
+        if (name == kKernels[i].name) {
+            std::call_once(built[i], [i] {
+                workloads[i] = makeWorkload(kKernels[i].make().program);
+            });
+            return &*workloads[i];
+        }
+    return nullptr;
 }
 
 } // namespace ruu

@@ -69,6 +69,16 @@ const std::vector<Workload> &livermoreWorkloads();
  */
 std::optional<Workload> livermoreWorkload(const std::string &name);
 
+/**
+ * The workload of the kernel named @p name, built the first time any
+ * thread asks for it and kept for the rest of the process: each
+ * kernel builds once, different kernels build concurrently, and a
+ * caller asking for a kernel mid-build waits for that build. nullptr
+ * for any other name. Resolve names before forking: a child forked
+ * mid-build must only read references it was handed.
+ */
+const Workload *sharedLivermoreWorkload(const std::string &name);
+
 } // namespace ruu
 
 #endif // RUU_KERNELS_LLL_HH

@@ -19,6 +19,14 @@ namespace
 
 const char *const kCacheKind = "ruu-serve-cache";
 
+/**
+ * Entry format version. 2: kernel and program keys hash the full
+ * trace content (Workload::contentHash). Version-1 entries were keyed
+ * on a sampled fingerprint that never read the instruction, so they
+ * read as corrupt: dropped and recomputed, never served.
+ */
+constexpr unsigned kCacheVersion = 2;
+
 } // namespace
 
 std::uint64_t
@@ -93,7 +101,8 @@ ResultCache::load(std::uint64_t key)
     auto keyHex = flat::optString(*header, "key");
     auto checksum = flat::optString(*header, "checksum");
     auto bytes = flat::optNumber(*header, "bytes");
-    if (!kind || *kind != kCacheKind || !version || *version != 1 ||
+    if (!kind || *kind != kCacheKind || !version ||
+        *version != kCacheVersion ||
         !keyHex || *keyHex != keyToHex(key) || !checksum || !bytes)
         return drop();
     std::string payload = text->substr(eol + 1);
@@ -114,7 +123,8 @@ ResultCache::store(std::uint64_t key, const std::string &payload)
     io::ensureDir(_dir);
     std::string path = entryPath(key);
     std::ostringstream entry;
-    entry << "{\"kind\": \"" << kCacheKind << "\", \"version\": 1"
+    entry << "{\"kind\": \"" << kCacheKind
+          << "\", \"version\": " << kCacheVersion
           << ", \"key\": \"" << keyToHex(key) << "\""
           << ", \"checksum\": \"" << keyToHex(fnv1a(payload)) << "\""
           << ", \"bytes\": " << payload.size() << "}\n"

@@ -3,23 +3,24 @@
  * Content-addressed result cache for the simulation service.
  *
  * Keys fingerprint everything the result payload depends on — the
- * workload's display name, its dynamic trace (lint's bound-cache
- * fingerprint plus length), the serialized configuration, the core
- * scheme, and the interrupt period — so a hit can only ever return
- * the byte-identical payload a cold run would produce. The display
- * name participates because the payload embeds it: two identical
- * programs submitted under different names must not share an entry.
+ * workload's display name, its full content hash (program image,
+ * data initializers and every trace record: Workload::contentHash)
+ * plus trace length, the serialized configuration, the core scheme,
+ * and the interrupt period — so a hit can only ever return the
+ * byte-identical payload a cold run would produce. The display name
+ * participates because the payload embeds it: two identical programs
+ * submitted under different names must not share an entry.
  *
  * Entries live one-per-file under the cache directory:
  *
  *   <dir>/<16-hex-key>.entry
- *   line 1: {"kind": "ruu-serve-cache", "version": 1, "key": K,
+ *   line 1: {"kind": "ruu-serve-cache", "version": 2, "key": K,
  *            "checksum": C, "bytes": N}
  *   line 2: the payload, exactly N bytes, FNV-1a checksum C
  *
- * Corruption is never trusted: a mismatched kind, key, checksum, or
- * byte count drops the entry (file deleted, counted in stats().dropped)
- * and reads as a miss, so the job simply recomputes.
+ * Corruption is never trusted: a mismatched kind, version, key,
+ * checksum, or byte count drops the entry (file deleted, counted in
+ * stats().dropped) and reads as a miss, so the job simply recomputes.
  */
 
 #ifndef RUU_SERVE_CACHE_HH
@@ -42,7 +43,8 @@ std::uint64_t fnv1a(const std::string &text, std::uint64_t h =
 struct CacheKeyInputs
 {
     std::string displayName;       //!< embedded in the payload
-    std::uint64_t traceFingerprint = 0; //!< lint::boundTraceFingerprint
+    /** Workload::contentHash (the daemon's jobs; inject units: seed). */
+    std::uint64_t traceFingerprint = 0;
     std::uint64_t traceLength = 0;
     std::string configJson;        //!< configToJson of the exact config
     std::string core;

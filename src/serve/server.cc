@@ -22,7 +22,6 @@
 #include "inject/campaign.hh"
 #include "inject/sandbox.hh"
 #include "kernels/lll.hh"
-#include "lint/dataflow_bound.hh"
 #include "par/ordered.hh"
 #include "serve/cache.hh"
 #include "serve/protocol.hh"
@@ -237,16 +236,16 @@ Server::runJob(const JobSpec &job, std::size_t index)
         return out;
     }
 
-    // Resolve the workload. Kernel names share the process-wide cached
-    // workloads; submitted programs are assembled and functionally
-    // simulated here, where a faulting or non-halting program is a
-    // per-job rejection, never a dead server.
+    // Resolve the workload here, before the fork: the sandbox child
+    // only reads what it is handed. A kernel name resolves to the
+    // daemon's copy, built by the first job or unit that names it;
+    // submitted programs are assembled and functionally simulated
+    // here, where a faulting or non-halting program is a per-job
+    // rejection, never a dead server.
     const Workload *resolved = nullptr;
     Workload built;
     if (!job.workload.empty()) {
-        for (const Workload &workload : livermoreWorkloads())
-            if (workload.name == job.workload)
-                resolved = &workload;
+        resolved = sharedLivermoreWorkload(job.workload);
         if (!resolved) {
             out.status = JobStatus::Rejected;
             out.text = "unknown workload '" + job.workload + "'";
@@ -267,7 +266,7 @@ Server::runJob(const JobSpec &job, std::size_t index)
 
     CacheKeyInputs inputs;
     inputs.displayName = workload.name;
-    inputs.traceFingerprint = lint::boundTraceFingerprint(workload.trace());
+    inputs.traceFingerprint = workload.contentHash;
     inputs.traceLength = workload.trace().size();
     inputs.configJson = configToJson(config);
     inputs.core = coreKindName(*kind);
@@ -373,10 +372,7 @@ Server::runInjectUnit(const Lease &lease)
         options.cores.push_back(*kind);
     }
     for (const std::string &name : spec.workloads) {
-        const Workload *found = nullptr;
-        for (const Workload &workload : livermoreWorkloads())
-            if (workload.name == name)
-                found = &workload;
+        const Workload *found = sharedLivermoreWorkload(name);
         if (!found) {
             out.status = JobStatus::Rejected;
             out.text = "unknown workload '" + name + "'";
@@ -888,13 +884,6 @@ Server::run()
     }
 
     _listenFd = listenFd;
-
-    // Prewarm the kernel workloads after the socket is listening —
-    // early clients queue in the accept backlog instead of getting
-    // connection-refused — so the first batch doesn't pay the one-time
-    // functional-simulation cost inside its deadline.
-    livermoreWorkloads();
-
     startDispatchers();
 
     Expected<int> result = 0;

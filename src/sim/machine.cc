@@ -75,6 +75,7 @@ makeWorkloadChecked(Program program, const FuncSimOptions &options)
     if (!workload.func.halted)
         return Error("program '" + workload.name +
                      "' did not halt within the instruction limit");
+    workload.contentHash = traceContentHash(workload.trace());
     return workload;
 }
 

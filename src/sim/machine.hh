@@ -56,6 +56,14 @@ struct Workload
     std::shared_ptr<const Program> program;
     FuncResult func;
 
+    /**
+     * traceContentHash of the trace, taken once by makeWorkload and
+     * makeWorkloadChecked when the functional run finishes (0 in a
+     * Workload built by hand): the serve result cache keys on it, so a
+     * cache probe never rehashes.
+     */
+    std::uint64_t contentHash = 0;
+
     /** The dynamic trace. */
     const Trace &trace() const { return func.trace; }
 };

@@ -100,6 +100,16 @@ class Trace
     std::vector<TraceRecord> _records;
 };
 
+/**
+ * Full content hash of @p trace: its program's instructions and data
+ * initializers, and every record's instruction, pc, memAddr and taken
+ * bit. Fault annotations are left out. Each mixing step is a
+ * bijection of the running hash, so traces that differ in any one of
+ * those fields always hash apart. O(program + trace): callers that
+ * probe by it repeatedly keep it (Workload::contentHash).
+ */
+std::uint64_t traceContentHash(const Trace &trace);
+
 } // namespace ruu
 
 #endif // RUU_TRACE_TRACE_HH

@@ -1,5 +1,7 @@
 #include "uarch/config.hh"
 
+#include <utility>
+
 namespace ruu
 {
 
@@ -72,6 +74,15 @@ UarchConfig::validate() const
                    fuKindName(static_cast<FuKind>(i)) +
                    " must be in 1..8";
     }
+    const std::pair<unsigned, const char *> sizes[] = {
+        {poolEntries, "poolEntries"},       {tuEntries, "tuEntries"},
+        {historyEntries, "historyEntries"}, {loadRegisters, "loadRegisters"},
+        {rsPerFu, "rsPerFu"},
+    };
+    for (const auto &[size, name] : sizes)
+        if (size > kMaxEntries)
+            return std::string(name) + " must be at most " +
+                   std::to_string(kMaxEntries);
     return "";
 }
 

@@ -182,6 +182,14 @@ struct UarchConfig
     /** The paper's model machine (all defaults). */
     static UarchConfig cray1() { return UarchConfig{}; }
 
+    /**
+     * Upper bound validate() puts on each buffer size: poolEntries,
+     * tuEntries, historyEntries, loadRegisters and rsPerFu. Far above
+     * the paper's largest window (50), and small enough that a
+     * mistyped size is a diagnostic rather than a failed allocation.
+     */
+    static constexpr unsigned kMaxEntries = 4096;
+
     /** Validate ranges; returns an error message or "" when valid. */
     std::string validate() const;
 };

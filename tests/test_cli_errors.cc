@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -50,6 +51,26 @@ runCli(const std::string &args)
     if (status == -1 || !WIFEXITED(status))
         return -1;
     return WEXITSTATUS(status);
+}
+
+/** Run `ruusim <args>`; its exit status as runCli, and its stderr. */
+std::pair<int, std::string>
+runCliStderr(const std::string &args)
+{
+    std::string cmd =
+        std::string(kBinary) + " " + args + " 2>&1 >/dev/null";
+    FILE *pipe = ::popen(cmd.c_str(), "r");
+    if (!pipe)
+        return {-1, ""};
+    std::string text;
+    char buffer[256];
+    std::size_t n;
+    while ((n = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0)
+        text.append(buffer, n);
+    int status = ::pclose(pipe);
+    if (status == -1 || !WIFEXITED(status))
+        return {-1, text};
+    return {WEXITSTATUS(status), text};
 }
 
 void
@@ -100,6 +121,26 @@ TEST(CliErrors, BadConfigurationValueExitsTwo)
 {
     REQUIRE_BINARY();
     EXPECT_EQ(runCli("run lll01 --entries 0"), 2);
+}
+
+TEST(CliErrors, OversizedConfigurationIsRejectedNotAborted)
+{
+    // Both sizes used to reach the cores and die of std::bad_alloc
+    // (exit 134); validate() now bounds every buffer size.
+    REQUIRE_BINARY();
+    auto flag = runCliStderr("run lll01 --entries 99999999999");
+    EXPECT_EQ(flag.first, 2);
+    EXPECT_NE(flag.second.find("ruusim: error: bad configuration: "
+                               "poolEntries must be at most 4096"),
+              std::string::npos)
+        << flag.second;
+    writeFile("oversized.json", "{\"pool_entries\": 4000000000}");
+    auto file = runCliStderr("run lll01 --config oversized.json");
+    EXPECT_EQ(file.first, 2);
+    EXPECT_NE(file.second.find("ruusim: error: oversized.json: config "
+                               "JSON: poolEntries must be at most 4096"),
+              std::string::npos)
+        << file.second;
 }
 
 TEST(CliErrors, MalformedTraceMagicExitsTwo)

@@ -367,10 +367,10 @@ TEST(CrossEngine, InjectJournalIsByteIdenticalAcrossEngines)
     auto campaign = [](engine::Kind kind, unsigned jobs,
                        const std::string &journal) {
         EngineScope scope(kind);
+        Workload workload = makeWorkload(generateRandomProgram(31));
         inject::CampaignOptions options;
         options.cores = {CoreKind::Ruu, CoreKind::History};
-        options.workloads = {
-            makeWorkload(generateRandomProgram(31))};
+        options.workloads = {workload};
         options.trials = 24;
         options.seed = 5;
         options.timeoutMs = 30'000;

@@ -18,6 +18,7 @@
 
 #include <stdlib.h>
 
+#include "asm/builder.hh"
 #include "common/flat_json.hh"
 #include "common/io_faults.hh"
 #include "engine/engine.hh"
@@ -512,6 +513,122 @@ TEST_P(FuzzSeeds, ResourceBoundIsMonotoneUnderRandomConfigs)
                   baseline)
             << w.name << ": slowing the machine lowered the bound";
     }
+}
+
+/** @p program rebuilt with data initializer @p at passed through @p edit. */
+template <typename Edit>
+Program
+withDataEdit(const Program &program, std::size_t at, Edit edit)
+{
+    ProgramBuilder builder(program.name());
+    for (std::size_t i = 0; i < program.dataInits().size(); ++i) {
+        DataInit init = program.dataInits()[i];
+        if (i == at)
+            edit(init);
+        builder.word(init.addr, init.value);
+    }
+    for (const Instruction &inst : program.instructions())
+        builder.emit(inst);
+    return builder.build();
+}
+
+TEST_P(FuzzSeeds, ContentHashSeparatesEverySingleFieldMutation)
+{
+    // The serve result cache keys on this hash, so two traces that
+    // differ in any one hashed field of any record or data
+    // initializer must never hash alike; a fault annotation, which no
+    // cached result depends on, must not matter.
+    Workload w = workload();
+    const Trace &trace = w.trace();
+    const std::uint64_t base = traceContentHash(trace);
+    ASSERT_EQ(w.contentHash, base);
+
+    auto hashOf = [&](std::shared_ptr<const Program> program,
+                      std::size_t at, auto edit) {
+        Trace copy(std::move(program));
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+            TraceRecord record = trace.at(i);
+            if (i == at)
+                edit(record);
+            copy.append(record);
+        }
+        return traceContentHash(copy);
+    };
+    auto unchanged = [](auto &) {};
+    const auto &data = trace.program().dataInits();
+    ASSERT_FALSE(data.empty());
+    ASSERT_EQ(hashOf(std::make_shared<const Program>(withDataEdit(
+                         trace.program(), 0, unchanged)),
+                     0, unchanged),
+              base)
+        << "rebuilding the program alone moved the hash";
+
+    std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) + 101);
+    auto nonzero = [&rng](unsigned bits) {
+        std::uint64_t mask = bits >= 64 ? ~0ull : (1ull << bits) - 1;
+        std::uint64_t v;
+        do
+            v = rng() & mask;
+        while (v == 0);
+        return v;
+    };
+    auto otherReg = [](RegId reg) {
+        return RegId(RegFile::T, (reg.index() + 1) % 64);
+    };
+    for (int round = 0; round < 200; ++round) {
+        // Fields 0-8 are a record's, 9 and 10 a data initializer's.
+        unsigned field = static_cast<unsigned>(rng() % 11);
+        std::size_t at = rng() % (field >= 9 ? data.size() : trace.size());
+        std::uint64_t mutated;
+        if (field >= 9) {
+            std::uint64_t delta = nonzero(field == 9 ? 20 : 64);
+            Program edited = withDataEdit(
+                trace.program(), at, [&](DataInit &init) {
+                    if (field == 9)
+                        init.addr ^= delta;
+                    else
+                        init.value ^= delta;
+                });
+            mutated = hashOf(std::make_shared<const Program>(
+                                 std::move(edited)),
+                             0, unchanged);
+        } else {
+            mutated = hashOf(
+                trace.programPtr(), at, [&](TraceRecord &record) {
+                    Instruction &inst = record.inst;
+                    switch (field) {
+                      case 0:
+                        inst.op = static_cast<Opcode>(
+                            static_cast<std::uint8_t>(inst.op) ^
+                            nonzero(8));
+                        break;
+                      case 1: inst.dst = otherReg(inst.dst); break;
+                      case 2: inst.src1 = otherReg(inst.src1); break;
+                      case 3: inst.src2 = otherReg(inst.src2); break;
+                      case 4:
+                        inst.imm ^= static_cast<std::int64_t>(nonzero(64));
+                        break;
+                      case 5:
+                        inst.target ^=
+                            static_cast<ParcelAddr>(nonzero(32));
+                        break;
+                      case 6:
+                        record.pc ^= static_cast<ParcelAddr>(nonzero(32));
+                        break;
+                      case 7: record.memAddr ^= nonzero(64); break;
+                      default: record.taken = !record.taken; break;
+                    }
+                });
+        }
+        EXPECT_NE(mutated, base) << "field " << field << " at " << at;
+    }
+
+    EXPECT_EQ(hashOf(trace.programPtr(), trace.size() / 2,
+                     [](TraceRecord &record) {
+                         record.fault = Fault::PageFault;
+                     }),
+              base)
+        << "a fault annotation moved the hash";
 }
 
 INSTANTIATE_TEST_SUITE_P(ManySeeds, FuzzSeeds, ::testing::Range(0, 24));

@@ -149,14 +149,17 @@ TEST(Journal, OutcomeNamesRoundTrip)
 // ---------------------------------------------------------------------
 // Sampling and campaigns
 
-Workload
+const Workload &
 campaignWorkload()
 {
-    RandomProgramOptions options;
-    options.loops = 1;
-    options.bodyLength = 6;
-    options.iterations = 4;
-    return makeWorkload(generateRandomProgram(23, options));
+    static const Workload workload = [] {
+        RandomProgramOptions options;
+        options.loops = 1;
+        options.bodyLength = 6;
+        options.iterations = 4;
+        return makeWorkload(generateRandomProgram(23, options));
+    }();
+    return workload;
 }
 
 inject::CampaignOptions

@@ -125,9 +125,18 @@ TEST(KernelSuite, SingleKernelLookupBuildsTheSuiteWorkload)
         EXPECT_EQ(got->func.finalState, want.func.finalState) << want.name;
         EXPECT_TRUE(got->func.finalMemory == want.func.finalMemory)
             << want.name;
+        EXPECT_EQ(got->contentHash, want.contentHash) << want.name;
+
+        // The daemon's lookup: the same content, built once.
+        const Workload *shared = sharedLivermoreWorkload(want.name);
+        ASSERT_NE(shared, nullptr) << want.name;
+        EXPECT_EQ(shared, sharedLivermoreWorkload(want.name)) << want.name;
+        EXPECT_EQ(shared->contentHash, want.contentHash) << want.name;
     }
-    for (const char *name : {"suite", "lll00", "lll15", "LLL01", "lll1", ""})
+    for (const char *name : {"suite", "lll00", "lll15", "LLL01", "lll1", ""}) {
         EXPECT_FALSE(livermoreWorkload(name).has_value()) << name;
+        EXPECT_EQ(sharedLivermoreWorkload(name), nullptr) << name;
+    }
 }
 
 TEST(KernelSuite, RegisterFileDiversity)

@@ -247,9 +247,10 @@ TEST(Determinism, InterruptSweepMatchesSerial)
 TEST(Determinism, InjectJournalIsByteIdenticalAtAnyJobCount)
 {
     auto campaign = [](unsigned jobs, const std::string &journal) {
+        Workload workload = sweepWorkload(31);
         inject::CampaignOptions options;
         options.cores = {CoreKind::Ruu, CoreKind::History};
-        options.workloads = {sweepWorkload(31)};
+        options.workloads = {workload};
         options.trials = 64;
         options.seed = 5;
         options.timeoutMs = 30'000;

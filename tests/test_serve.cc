@@ -263,6 +263,31 @@ TEST_F(ServeDirs, CacheDropsCorruptEntries)
     EXPECT_TRUE(cache.load(key).has_value());
 }
 
+TEST_F(ServeDirs, CacheDropsEntriesOfAnOlderVersion)
+{
+    // Version 1 keyed kernels and programs on a sampled fingerprint
+    // that never read the instruction; an intact entry in its format
+    // must read as a miss and be deleted, never served.
+    serve::ResultCache cache(dir("cache"));
+    std::uint64_t key = serve::cacheKey(sampleInputs());
+    ASSERT_TRUE(cache.store(key, "{\"cycles\": 364}").ok());
+    std::string path =
+        dir("cache") + "/" + serve::keyToHex(key) + ".entry";
+    std::ifstream in(path);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    in.close();
+    std::size_t at = text.find("\"version\": 2");
+    ASSERT_NE(at, std::string::npos) << text;
+    text.replace(at, 12, "\"version\": 1");
+    std::ofstream(path, std::ios::trunc) << text;
+
+    EXPECT_FALSE(cache.load(key).has_value())
+        << "a version-1 entry was served";
+    EXPECT_EQ(cache.stats().dropped, 1u);
+    EXPECT_EQ(cache.entriesOnDisk(), 0u);
+}
+
 TEST_F(ServeDirs, CacheVerifyAgainstJournalRecord)
 {
     serve::ResultCache cache(dir("cache"));
@@ -572,6 +597,243 @@ TEST_F(ServeDirs, DeadlineExpiryClassifiesTheJobNotTheDaemon)
     ASSERT_TRUE(client.request("{\"op\": \"shutdown\"}").ok());
     daemon.join();
     EXPECT_EQ(stats.jobsTimedOut, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Kernels built on first use, content-keyed results, bounded configs
+
+/** Send each of @p submits, then run the batch; the result lines. */
+std::vector<flat::Object>
+runBatch(serve::ServeClient &client, const std::vector<std::string> &submits)
+{
+    for (const std::string &submit : submits) {
+        auto ack = client.request(submit);
+        EXPECT_TRUE(ack.ok() && ack->find("\"ok\": 1") != std::string::npos)
+            << (ack.ok() ? *ack : ack.error().message());
+    }
+    EXPECT_TRUE(client.sendLine("{\"op\": \"run\"}").ok());
+    std::vector<flat::Object> results;
+    for (std::size_t i = 0; i < submits.size(); ++i)
+        results.push_back(readResult(client));
+    readResult(client); // summary
+    return results;
+}
+
+TEST_F(ServeDirs, ConcurrentFirstSubmissionsBuildEachKernelOnce)
+{
+    // No other test in this file names lll10..lll14, so this batch is
+    // the first to resolve them: four concurrent jobs on one kernel
+    // share its single build, and four different kernels build side
+    // by side, each payload still exactly what `ruusim run` prints.
+    serve::ServerOptions options;
+    options.socketPath = dir("sock");
+    options.cacheDir = dir("cache");
+    options.jobs = 4;
+    options.defaultDeadlineMs = 60'000;
+    serve::ServerStats stats;
+    std::thread daemon([&] {
+        auto result = serve::runServer(options, &stats);
+        EXPECT_TRUE(result.ok()) << result.error().message();
+    });
+    serve::ServeClient client;
+    connectClient(client, options.socketPath);
+
+    const std::vector<std::string> kernels = {
+        "lll10", "lll10", "lll10", "lll10",
+        "lll11", "lll12", "lll13", "lll14"};
+    std::vector<std::string> submits;
+    for (std::size_t i = 0; i < kernels.size(); ++i)
+        submits.push_back(submitLine("job" + std::to_string(i), kernels[i]));
+    std::vector<flat::Object> results = runBatch(client, submits);
+    for (std::size_t i = 0; i < kernels.size(); ++i) {
+        EXPECT_EQ(flat::getString(results[i], "status").value(), "done")
+            << kernels[i];
+        EXPECT_EQ(flat::getString(results[i], "payload").value(),
+                  coldPayload(kernels[i]))
+            << "job " << i << " (" << kernels[i] << ")";
+    }
+
+    ASSERT_TRUE(client.request("{\"op\": \"shutdown\"}").ok());
+    daemon.join();
+    EXPECT_EQ(stats.jobsDone, kernels.size());
+}
+
+TEST_F(ServeDirs, UnknownKernelAndOversizedConfigAreRejected)
+{
+    serve::ServerOptions options;
+    options.socketPath = dir("sock");
+    options.cacheDir = dir("cache");
+    serve::ServerStats stats;
+    std::thread daemon([&] {
+        auto result = serve::runServer(options, &stats);
+        EXPECT_TRUE(result.ok()) << result.error().message();
+    });
+    serve::ServeClient client;
+    connectClient(client, options.socketPath);
+
+    // Four billion pool entries parse, but used to abort the sandbox
+    // on a failed allocation; validate() now refuses them up front.
+    Request oversized;
+    oversized.op = Op::Submit;
+    oversized.job.id = "huge";
+    oversized.job.workload = "lll01";
+    oversized.job.configJson = "{\"pool_entries\": 4000000000}";
+    std::vector<flat::Object> results = runBatch(
+        client, {submitLine("bogus", "lll99"),
+                 serve::requestToLine(oversized)});
+    EXPECT_EQ(flat::getString(results[0], "status").value(), "rejected");
+    EXPECT_EQ(flat::getString(results[0], "error").value(),
+              "unknown workload 'lll99'");
+    EXPECT_EQ(flat::getString(results[1], "status").value(), "rejected");
+    EXPECT_EQ(flat::getString(results[1], "error").value(),
+              "bad config: config JSON: poolEntries must be at most "
+              "4096");
+
+    ASSERT_TRUE(client.request("{\"op\": \"shutdown\"}").ok());
+    daemon.join();
+    EXPECT_EQ(stats.jobsRejected, 2u);
+    EXPECT_EQ(stats.jobsCrashed, 0u);
+}
+
+/** examples/programs/fib.s. */
+const char *const kFibSource =
+    ".program fib\n"
+    "    smovi S1, 0\n"
+    "    smovi S2, 1\n"
+    "    amovi A1, 0\n"
+    "    amovi A6, 1\n"
+    "    amovi A5, 24\n"
+    "loop:\n"
+    "    sts   2000(A1), S1\n"
+    "    sadd  S3, S1, S2\n"
+    "    movs  S1, S2\n"
+    "    movs  S2, S3\n"
+    "    aadd  A1, A1, A6\n"
+    "    asub  A0, A1, A5\n"
+    "    jam   loop\n"
+    "    halt\n";
+
+/** What `ruusim run` prints for @p source on the default RUU. */
+std::string
+programPayload(const std::string &source, const std::string &name)
+{
+    Workload workload = workloadFromSource(source, name);
+    auto core = makeCore(CoreKind::Ruu, UarchConfig::cray1());
+    RunResult run = core->run(workload.trace());
+    return runToJson(workload.name, core->name(), run, core->stats());
+}
+
+TEST_F(ServeDirs, EditedProgramUnderTheSameNameIsRecomputed)
+{
+    // Regression: the key once sampled a few records' pc and address
+    // and never the instruction, so fib.s with its sadd edited to an
+    // fmul, resubmitted under the same name, was served the cached
+    // 364 cycles of the original instead of its own 389.
+    serve::ServerOptions options;
+    options.socketPath = dir("sock");
+    options.cacheDir = dir("cache");
+    options.journalPath = dir("journal");
+    serve::ServerStats stats;
+    std::thread daemon([&] {
+        auto result = serve::runServer(options, &stats);
+        EXPECT_TRUE(result.ok()) << result.error().message();
+    });
+    serve::ServeClient client;
+    connectClient(client, options.socketPath);
+
+    std::string edited = kFibSource;
+    edited.replace(edited.find("sadd"), 4, "fmul");
+    auto program = [](const std::string &id, const std::string &text) {
+        Request request;
+        request.op = Op::Submit;
+        request.job.id = id;
+        request.job.program = text;
+        request.job.name = "fib.s";
+        return serve::requestToLine(request);
+    };
+    std::vector<flat::Object> results = runBatch(
+        client, {program("original", kFibSource),
+                 program("edited", edited), program("again", edited)});
+    const std::string originalPayload =
+        programPayload(kFibSource, "fib.s");
+    const std::string editedPayload = programPayload(edited, "fib.s");
+    ASSERT_NE(originalPayload.find("\"cycles\": 364,"), std::string::npos);
+    ASSERT_NE(editedPayload.find("\"cycles\": 389,"), std::string::npos);
+
+    EXPECT_EQ(flat::getString(results[0], "payload").value(),
+              originalPayload);
+    EXPECT_EQ(flat::getNumber(results[1], "cached").value(), 0u)
+        << "the edited program hit the original's entry";
+    EXPECT_EQ(flat::getString(results[1], "payload").value(),
+              editedPayload);
+    // An unchanged resubmission still hits.
+    EXPECT_EQ(flat::getNumber(results[2], "cached").value(), 1u);
+    EXPECT_EQ(flat::getString(results[2], "payload").value(),
+              editedPayload);
+
+    ASSERT_TRUE(client.request("{\"op\": \"shutdown\"}").ok());
+    daemon.join();
+}
+
+TEST_F(ServeDirs, InjectUnitBuildsTheKernelItNames)
+{
+    // No job or other test in this file names lll09, so the campaign
+    // unit is the first to resolve it. Each line is pinned to what
+    // `ruusim inject lll09 --cores ruu --trials 2 --seed 7
+    // --replay-trial N --json` printed before kernels were built on
+    // first use.
+    serve::ServerOptions options;
+    options.socketPath = dir("sock");
+    options.cacheDir = dir("cache");
+    options.jobs = 2;
+    options.defaultDeadlineMs = 60'000;
+    serve::ServerStats stats;
+    std::thread daemon([&] {
+        auto result = serve::runServer(options, &stats);
+        EXPECT_TRUE(result.ok()) << result.error().message();
+    });
+    serve::ServeClient client;
+    connectClient(client, options.socketPath);
+
+    Request request;
+    request.op = Op::Campaign;
+    request.campaign.id = "inject:lll09";
+    request.campaign.kind = serve::CampaignKind::Inject;
+    request.campaign.workloads = {"lll09"};
+    request.campaign.cores = {"ruu"};
+    request.campaign.trials = 2;
+    request.campaign.seed = 7;
+    auto ack = client.request(serve::requestToLine(request));
+    ASSERT_TRUE(ack.ok());
+    EXPECT_NE(ack->find("\"units\": 2"), std::string::npos) << *ack;
+
+    const char *const expected[] = {
+        "{\"index\": 0, \"seed\": 17039259473404265729, \"core\": "
+        "\"ruu\", \"workload\": \"lll09\", \"cycle\": 11807, \"bit\": "
+        "3807, \"port\": \"loadReg[5].value (data, 64 bits) bit 23\", "
+        "\"before\": 0, \"after\": 8388608, \"outcome\": \"masked\", "
+        "\"cycles\": 18795, \"retries\": 0, \"detail\": \"\"}",
+        "{\"index\": 1, \"seed\": 11307387092600937729, \"core\": "
+        "\"ruu\", \"workload\": \"lll09\", \"cycle\": 3964, \"bit\": "
+        "12090, \"port\": \"bus[61].cycle (sequence, 32 bits) bit 20\", "
+        "\"before\": 0, \"after\": 1048576, \"outcome\": \"masked\", "
+        "\"cycles\": 18795, \"retries\": 0, \"detail\": \"\"}",
+    };
+    Request watch;
+    watch.op = Op::Watch;
+    watch.target = "inject:lll09";
+    ASSERT_TRUE(client.sendLine(serve::requestToLine(watch)).ok());
+    for (const char *line : expected) {
+        flat::Object unit = readResult(client);
+        EXPECT_EQ(flat::getString(unit, "status").value(), "done");
+        EXPECT_EQ(flat::getString(unit, "payload").value(), line);
+    }
+    flat::Object summary = readResult(client);
+    EXPECT_EQ(flat::getNumber(summary, "ok").value(), 1u);
+
+    ASSERT_TRUE(client.request("{\"op\": \"shutdown\"}").ok());
+    daemon.join();
+    EXPECT_EQ(stats.unitsDone, 2u);
 }
 
 // ---------------------------------------------------------------------
