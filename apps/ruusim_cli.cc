@@ -283,6 +283,20 @@ parsePredictor(const std::string &name)
     cliFail("unknown predictor '%s'", name.c_str());
 }
 
+/** One `--sizes` entry: one to nine decimal digits (validate() caps it). */
+unsigned
+parseSize(const std::string &item)
+{
+    bool digits = !item.empty() && item.size() <= 9 &&
+                  std::all_of(item.begin(), item.end(), [](char c) {
+                      return c >= '0' && c <= '9';
+                  });
+    if (!digits)
+        cliFail("bad --sizes entry '%s': expected a window size",
+                item.c_str());
+    return static_cast<unsigned>(std::stoul(item));
+}
+
 struct Cli
 {
     CoreKind core = CoreKind::Ruu;
@@ -461,8 +475,7 @@ parseArgs(int argc, char **argv)
             std::stringstream list(value());
             std::string item;
             while (std::getline(list, item, ','))
-                cli.sizes.push_back(
-                    static_cast<unsigned>(atoi(item.c_str())));
+                cli.sizes.push_back(parseSize(item));
             if (cli.sizes.empty())
                 usage();
         } else if (!arg.empty() && arg[0] == '-') {
@@ -1590,6 +1603,12 @@ main(int argc, char **argv)
     Cli cli = parseArgs(argc, argv);
     cli.jobs = jobs;
     std::string problem = cli.config.validate();
+    // Each --sizes entry becomes poolEntries of one sweep point.
+    for (std::size_t i = 0; problem.empty() && i < cli.sizes.size(); ++i) {
+        UarchConfig point = cli.config;
+        point.poolEntries = cli.sizes[i];
+        problem = point.validate();
+    }
     if (!problem.empty())
         cliFail("bad configuration: %s", problem.c_str());
 

@@ -19,8 +19,8 @@
  * the flat register number itself is the result tag — no tag unit at
  * all) and sends stores to memory in program order. That WAW
  * restriction is precisely the cost the RUU's NI/LI multiple-instance
- * counters were invented to remove, and the
- * `bench/ablation_precise_schemes` comparison quantifies it.
+ * counters were invented to remove, and the `precise_schemes` block of
+ * EXPERIMENTS.md quantifies it.
  *
  * A fault surfaces when its history-buffer entry reaches the head:
  * issue stops, un-dispatched younger instructions are cancelled,

@@ -1,7 +1,7 @@
 /**
  * @file
  * The one-line static-bound summary shared by `ruusim analyze`,
- * `ruusim verify` and every bench (bench/bench_common.hh): the suite's
+ * `ruusim verify` and the paper registry (bench/paper.cc): the suite's
  * certified resource-aware lower bound, how much it tightened the
  * dependence-only bound, and which resource binds how many workloads.
  * One formatter so the three surfaces can never drift apart.

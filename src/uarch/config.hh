@@ -31,7 +31,7 @@ enum class BypassMode : std::uint8_t
      * copy is updated in order at commit. The paper asserts this
      * "achieves the same performance as a reorder buffer with bypass
      * logic" — the reproduction verifies the equivalence exactly
-     * (tests/test_ruu_core.cc).
+     * (claim `future_file_equals_full_bypass`, tests/test_paper.cc).
      */
     FutureFile,
 };
@@ -120,7 +120,8 @@ struct UarchConfig
     /**
      * Result buses (same-cycle delivery slots). The paper's model has
      * one; the real CRAY-1 scalar unit had separate address and scalar
-     * result buses, approximated by 2 (§2; ablation_result_buses).
+     * result buses, approximated by 2 (§2; the result_buses block of
+     * EXPERIMENTS.md).
      */
     unsigned resultBuses = 1;
 

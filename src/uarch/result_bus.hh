@@ -6,8 +6,8 @@
  * result on the bus per clock — a deliberate simplification of the
  * CRAY-1, which had separate address and scalar result buses. ResultBus
  * models a configurable number of same-cycle delivery slots (width 1 =
- * the paper's machine, width 2 ≈ the real CRAY-1), so the bench
- * `ablation_result_buses` can quantify the simplification.
+ * the paper's machine, width 2 ≈ the real CRAY-1), so EXPERIMENTS.md's
+ * `result_buses` block can quantify the simplification.
  *
  * A producer reserves a delivery slot at dispatch time (the
  * Weiss–Smith policy the paper cites); dispatch must stall when every

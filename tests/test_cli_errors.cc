@@ -121,6 +121,12 @@ TEST(CliErrors, BadConfigurationValueExitsTwo)
 {
     REQUIRE_BINARY();
     EXPECT_EQ(runCli("run lll01 --entries 0"), 2);
+    // Every --sizes entry is parsed strictly and validated as a pool
+    // size before the sweep starts.
+    EXPECT_EQ(runCli("sweep lll01 --sizes 0"), 2);
+    EXPECT_EQ(runCli("sweep lll01 --sizes 4,x,0"), 2);
+    EXPECT_EQ(runCli("sweep lll01 --sizes 4,,5"), 2);
+    EXPECT_EQ(runCli("sweep lll01 --sizes -3"), 2);
 }
 
 TEST(CliErrors, OversizedConfigurationIsRejectedNotAborted)
@@ -141,6 +147,12 @@ TEST(CliErrors, OversizedConfigurationIsRejectedNotAborted)
                                "JSON: poolEntries must be at most 4096"),
               std::string::npos)
         << file.second;
+    auto sizes = runCliStderr("sweep lll01 --sizes 4,5000");
+    EXPECT_EQ(sizes.first, 2);
+    EXPECT_NE(sizes.second.find("ruusim: error: bad configuration: "
+                                "poolEntries must be at most 4096"),
+              std::string::npos)
+        << sizes.second;
 }
 
 TEST(CliErrors, MalformedTraceMagicExitsTwo)

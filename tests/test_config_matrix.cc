@@ -114,7 +114,7 @@ TEST(ConfigMonotonicity, ResourcesNeverHurtConstraintsNeverHelp)
 
     // Bank conflicts / fewer load registers: never faster than a small
     // tolerance (dispatch-order perturbations can produce sub-0.5%
-    // wobble, as ablation_assumptions documents).
+    // wobble, as EXPERIMENTS.md's assumptions block shows).
     for (auto mutate :
          {+[](UarchConfig &c) { c.memoryBanks = 4; },
           +[](UarchConfig &c) { c.loadRegisters = 2; }}) {

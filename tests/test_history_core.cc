@@ -2,8 +2,7 @@
  * @file
  * Tests for the §4 history-buffer machine (core/history_core.hh):
  * scoreboard interlocks, eager state update with old-value logging,
- * rollback-based precise interrupts, and its position in the
- * precise-interrupt design space relative to the RUU.
+ * rollback-based precise interrupts and their rollback cost.
  */
 
 #include <gtest/gtest.h>
@@ -150,24 +149,6 @@ INSTANTIATE_TEST_SUITE_P(AllKernels, HistoryKernelTest,
                                  [static_cast<std::size_t>(info.param)]
                                      .name;
                          });
-
-TEST(HistoryShape, PreciseButSlowerThanTheRuu)
-{
-    // The design-space point the paper's §4-§5 narrative turns on: the
-    // history buffer is precise, but its WAW interlock forfeits much
-    // of the out-of-order win that the RUU's register instances keep.
-    const auto &workloads = livermoreWorkloads();
-    UarchConfig config;
-    config.poolEntries = 15;
-    config.historyEntries = 15;
-    AggregateResult history = runSuite(CoreKind::History, config,
-                                       workloads);
-    AggregateResult ruu = runSuite(CoreKind::Ruu, config, workloads);
-    AggregateResult simple = runSuite(CoreKind::Simple, UarchConfig{},
-                                      workloads);
-    EXPECT_LT(history.cycles, simple.cycles); // still beats in-order
-    EXPECT_GT(history.cycles, ruu.cycles);    // but loses to the RUU
-}
 
 TEST(HistoryShape, FaultRecoveryCostsRollbackCycles)
 {

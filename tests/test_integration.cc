@@ -1,8 +1,7 @@
 /**
  * @file
  * Cross-cutting integration tests: every core on every kernel commits
- * the sequential architectural state, and the relative-performance
- * orderings the paper reports hold in aggregate.
+ * the sequential architectural state.
  */
 
 #include <gtest/gtest.h>
@@ -47,96 +46,6 @@ INSTANTIATE_TEST_SUITE_P(
                    [static_cast<std::size_t>(std::get<1>(info.param))]
                        .name;
     });
-
-TEST(IntegrationShape, TheHeadlineOrderingHolds)
-{
-    // With a reasonable window (12 entries) the paper's story reads:
-    // out-of-order issue beats simple issue; the unconstrained RSTU
-    // beats the commit-constrained RUU; conditional execution (§7)
-    // beats waiting out every branch.
-    const auto &workloads = livermoreWorkloads();
-    UarchConfig config;
-    config.poolEntries = 12;
-
-    AggregateResult simple = runSuite(CoreKind::Simple, config,
-                                      workloads);
-    AggregateResult rstu = runSuite(CoreKind::Rstu, config, workloads);
-    AggregateResult ruu = runSuite(CoreKind::Ruu, config, workloads);
-    AggregateResult spec = runSuite(CoreKind::SpecRuu, config,
-                                    workloads);
-
-    EXPECT_LT(rstu.cycles, simple.cycles);
-    EXPECT_LT(ruu.cycles, simple.cycles);
-    EXPECT_LT(rstu.cycles, ruu.cycles);
-    EXPECT_LT(spec.cycles, ruu.cycles);
-}
-
-TEST(IntegrationShape, Table2ReproductionBands)
-{
-    // Shape anchors for the RSTU sweep (paper Table 2): sub-unity at
-    // 3 entries, strong speedup at 25, saturation by 30.
-    const auto &workloads = livermoreWorkloads();
-    AggregateResult baseline = runSuite(CoreKind::Simple, UarchConfig{},
-                                        workloads);
-    auto at = [&](unsigned entries) {
-        UarchConfig config;
-        config.poolEntries = entries;
-        return runSuite(CoreKind::Rstu, config, workloads)
-            .speedupOver(baseline.cycles);
-    };
-    double s3 = at(3), s25 = at(25), s30 = at(30);
-    EXPECT_GT(s3, 0.80);
-    EXPECT_LT(s3, 1.10);   // paper: 0.965
-    EXPECT_GT(s25, 1.55);
-    EXPECT_LT(s25, 2.20);  // paper: 1.820
-    EXPECT_NEAR(s30, s25, 0.03); // saturated, as in the paper
-}
-
-TEST(IntegrationShape, Table4To6ReproductionBands)
-{
-    const auto &workloads = livermoreWorkloads();
-    AggregateResult baseline = runSuite(CoreKind::Simple, UarchConfig{},
-                                        workloads);
-    auto at = [&](unsigned entries, BypassMode bypass) {
-        UarchConfig config;
-        config.poolEntries = entries;
-        config.bypass = bypass;
-        return runSuite(CoreKind::Ruu, config, workloads)
-            .speedupOver(baseline.cycles);
-    };
-    // Table 4 (full bypass): 0.853 at 3 entries, 1.786 at 50.
-    double full3 = at(3, BypassMode::Full);
-    double full50 = at(50, BypassMode::Full);
-    EXPECT_GT(full3, 0.70);
-    EXPECT_LT(full3, 1.00);
-    EXPECT_GT(full50, 1.50);
-    EXPECT_LT(full50, 2.10);
-    // Table 5 (no bypass): clearly positive but well below Table 4.
-    double none50 = at(50, BypassMode::None);
-    EXPECT_GT(none50, 1.00);
-    EXPECT_LT(none50, full50);
-    // Table 6 (A future file): recovers much of the gap.
-    double limited50 = at(50, BypassMode::LimitedA);
-    EXPECT_GT(limited50, none50);
-    EXPECT_LE(limited50, full50);
-}
-
-TEST(IntegrationShape, IssueRatesStayBelowTheTheoreticalLimit)
-{
-    // §3.2.3.1: the single decode unit caps the machine at one
-    // instruction per cycle; no configuration may exceed it.
-    const auto &workloads = livermoreWorkloads();
-    for (CoreKind kind : {CoreKind::Simple, CoreKind::Tomasulo,
-                          CoreKind::Rstu, CoreKind::Ruu,
-                          CoreKind::SpecRuu}) {
-        UarchConfig config;
-        config.poolEntries = 50;
-        config.dispatchPaths = 2;
-        AggregateResult total = runSuite(kind, config, workloads);
-        EXPECT_LT(total.issueRate(), 1.0) << coreKindName(kind);
-        EXPECT_GT(total.issueRate(), 0.15) << coreKindName(kind);
-    }
-}
 
 TEST(IntegrationShape, InstructionBuffersCostLittleOnTheseLoops)
 {

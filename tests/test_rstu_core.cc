@@ -2,8 +2,7 @@
  * @file
  * Tests for the merged reservation-station/tag-unit core
  * (core/rstu_core.hh): cycle-exact micro-sequences, structural-hazard
- * stalls, multiple register instances, and the paper's Table 2/3
- * shape properties.
+ * stalls and multiple register instances.
  */
 
 #include <gtest/gtest.h>
@@ -176,52 +175,6 @@ TEST_P(RstuKernelTest, CommitsTheSequentialStateOnEveryKernel)
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, RstuKernelTest,
                          ::testing::Range(0, 14));
-
-TEST(RstuCoreShape, SpeedupIsMonotonicInPoolSize)
-{
-    const auto &workloads = livermoreWorkloads();
-    Cycle previous = ~Cycle{0};
-    for (unsigned entries : {3u, 5u, 8u, 15u, 30u}) {
-        UarchConfig config;
-        config.poolEntries = entries;
-        AggregateResult total = runSuite(CoreKind::Rstu, config,
-                                         workloads);
-        EXPECT_LE(total.cycles, previous) << "entries=" << entries;
-        previous = total.cycles;
-    }
-}
-
-TEST(RstuCoreShape, TwoDispatchPathsHelpALittle)
-{
-    // Paper §3.2.3.1 / Table 3: the second RSTU-to-FU path makes "a
-    // small difference" because decode fills the pool at one
-    // instruction per cycle.
-    const auto &workloads = livermoreWorkloads();
-    UarchConfig config;
-    config.poolEntries = 10;
-    AggregateResult one = runSuite(CoreKind::Rstu, config, workloads);
-    config.dispatchPaths = 2;
-    AggregateResult two = runSuite(CoreKind::Rstu, config, workloads);
-    EXPECT_LE(two.cycles, one.cycles);
-    // Small: under 15% improvement.
-    EXPECT_GT(static_cast<double>(two.cycles),
-              0.85 * static_cast<double>(one.cycles));
-}
-
-TEST(RstuCoreShape, TinyPoolIsNoFasterThanSimpleIssue)
-{
-    // Table 2's first row: 3 entries give speedup ~0.97 — the station
-    // overhead eats the reordering win.
-    const auto &workloads = livermoreWorkloads();
-    AggregateResult baseline = runSuite(CoreKind::Simple, UarchConfig{},
-                                        workloads);
-    UarchConfig config;
-    config.poolEntries = 3;
-    AggregateResult small = runSuite(CoreKind::Rstu, config, workloads);
-    double speedup = small.speedupOver(baseline.cycles);
-    EXPECT_GT(speedup, 0.85);
-    EXPECT_LT(speedup, 1.10);
-}
 
 } // namespace
 } // namespace ruu

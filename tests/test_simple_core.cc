@@ -168,26 +168,6 @@ TEST(SimpleCore, InstructionBufferMissDelaysColdStart)
     EXPECT_EQ(core->stats().value("ibuffer_miss_cycles"), 14u);
 }
 
-TEST(SimpleCore, BaselineIssueRateIsPaperScale)
-{
-    // The paper's Table 1 reports 0.438 overall; the reproduction's
-    // hand compiler schedules a little worse than CFT, so we accept a
-    // band around it (the exact value is recorded in EXPERIMENTS.md).
-    const auto &workloads = livermoreWorkloads();
-    auto core = makeCore(CoreKind::Simple, UarchConfig{});
-    std::uint64_t insts = 0, cycles = 0;
-    for (const auto &workload : workloads) {
-        RunResult r = core->run(workload.trace());
-        EXPECT_TRUE(matchesFunctional(r, workload.func))
-            << workload.name;
-        insts += r.instructions;
-        cycles += r.cycles;
-    }
-    double rate = static_cast<double>(insts) / static_cast<double>(cycles);
-    EXPECT_GT(rate, 0.15);
-    EXPECT_LT(rate, 0.60);
-}
-
 TEST(SimpleCore, ImpreciseInterruptLeavesYoungerResultsBehind)
 {
     // A faulting load completes at issue+11; a logical op issued after

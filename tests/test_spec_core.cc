@@ -43,18 +43,6 @@ TEST(SpecRuuCore, LoopBranchesArePredictedAndCommitCorrectly)
     EXPECT_GT(core->stats().value("wrong_path_decoded"), 0u);
 }
 
-TEST(SpecRuuCore, BeatsTheBaseRuuOnBranchyCode)
-{
-    // Removing most branch dead cycles is the entire point of §7.
-    const auto &workloads = livermoreWorkloads();
-    UarchConfig config;
-    config.poolEntries = 20;
-    AggregateResult spec = runSuite(CoreKind::SpecRuu, config,
-                                    workloads);
-    AggregateResult base = runSuite(CoreKind::Ruu, config, workloads);
-    EXPECT_LT(spec.cycles, base.cycles);
-}
-
 TEST(SpecRuuCore, WrongPathWorkIsNullifiedNotCommitted)
 {
     // A branch whose prediction is wrong: the wrong-path instructions
@@ -155,27 +143,6 @@ INSTANTIATE_TEST_SUITE_P(
         return predictorKindName(
             static_cast<PredictorKind>(info.param));
     });
-
-TEST(SpecRuuCore, GoodPredictionBeatsBadPredictionOnLoops)
-{
-    // Loop-closing branches are overwhelmingly taken: always-not-taken
-    // mispredicts every iteration and must be slower than BTFN/Smith.
-    const auto &workloads = livermoreWorkloads();
-    UarchConfig config;
-    config.poolEntries = 20;
-
-    config.predictor = PredictorKind::AlwaysNotTaken;
-    AggregateResult bad = runSuite(CoreKind::SpecRuu, config, workloads);
-    config.predictor = PredictorKind::Btfn;
-    AggregateResult btfn = runSuite(CoreKind::SpecRuu, config,
-                                    workloads);
-    config.predictor = PredictorKind::Smith2Bit;
-    AggregateResult smith = runSuite(CoreKind::SpecRuu, config,
-                                     workloads);
-
-    EXPECT_LT(btfn.cycles, bad.cycles);
-    EXPECT_LT(smith.cycles, bad.cycles);
-}
 
 TEST(SpecRuuCoreDeath, RequiresFullBypass)
 {

@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the Tag Unit + distributed reservation-station core
- * (core/tomasulo_core.hh), including the paper's §3.2.2 motivation:
- * distributed stations strand capacity that a merged pool can use.
+ * (core/tomasulo_core.hh).
  */
 
 #include <gtest/gtest.h>
@@ -132,27 +131,6 @@ TEST_P(TomasuloKernelTest, CommitsTheSequentialStateOnEveryKernel)
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, TomasuloKernelTest,
                          ::testing::Range(0, 14));
-
-TEST(TomasuloShape, MergedPoolBeatsDistributedStationsOfEqualCapacity)
-{
-    // §3.2.2: "it is likely that some functional unit will run out of
-    // reservation stations while the reservation stations associated
-    // with another functional unit are idle". Compare 11 units x 1
-    // station + 11 tags against a merged RSTU pool of 11 entries.
-    const auto &workloads = livermoreWorkloads();
-
-    UarchConfig distributed;
-    distributed.rsPerFu = 1;
-    distributed.tuEntries = 11;
-    AggregateResult tomasulo = runSuite(CoreKind::Tomasulo, distributed,
-                                        workloads);
-
-    UarchConfig merged;
-    merged.poolEntries = 11;
-    AggregateResult rstu = runSuite(CoreKind::Rstu, merged, workloads);
-
-    EXPECT_LT(rstu.cycles, tomasulo.cycles);
-}
 
 } // namespace
 } // namespace ruu
