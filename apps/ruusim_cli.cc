@@ -39,6 +39,8 @@
 #include <string>
 #include <vector>
 
+#include <malloc.h>
+
 #include "asm/parser.hh"
 #include "common/error.hh"
 #include "common/file.hh"
@@ -56,6 +58,7 @@
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
+#include "serve/worker.hh"
 #include "sim/experiment.hh"
 #include "sim/json.hh"
 #include "stats/table.hh"
@@ -243,6 +246,7 @@ resolveWorkloads(const std::string &name)
     }
     if (!workload.func.halted)
         cliFail("'%s' never reaches HALT", name.c_str());
+    compactGolden(workload.func);
     named.push_back(std::move(workload));
     return named;
 }
@@ -1248,7 +1252,12 @@ cmdServe(const Cli &cli)
     options.seed = cli.seed;
     options.maxConnections = cli.maxConnections;
     options.queuePath = cli.queuePath;
+    options.workerPath = "/proc/self/exe";
     options.handleSignals = true; // SIGTERM/SIGINT drain, exit 0
+    // One malloc arena: the daemon's threads mostly wait on workers,
+    // and each thread's own arena would keep the 8 MiB image of the
+    // last workload it built for the daemon's life.
+    ::mallopt(M_ARENA_MAX, 1);
 
     std::fprintf(stderr, "ruusim: serving on %s (%u worker%s%s%s%s)\n",
                  cli.socketPath.c_str(), cli.jobs,
@@ -1600,6 +1609,10 @@ main(int argc, char **argv)
     unsigned jobs = par::consumeJobsFlag(argc, argv);
     engine::consumeEngineFlag(argc, argv);
     std::string command = argv[1];
+    // A ruusimd job worker, started by the daemon itself: it reads jobs
+    // on stdin and replies on fd 3 (serve/worker.hh).
+    if (command == serve::kWorkerArg)
+        return serve::runWorker(0, 3);
     Cli cli = parseArgs(argc, argv);
     cli.jobs = jobs;
     std::string problem = cli.config.validate();

@@ -70,9 +70,7 @@ struct Outcome : AggregateResult
 /**
  * The identity of @p cell: its core, configuration, mode and workloads.
  * A configuration is told apart by configToJson, as SuiteArena tells
- * cores apart; it omits seven fields, so no two cells may differ only
- * in those (the branch-penalty cells vary the mispredict penalty only
- * together with the taken penalty).
+ * cores apart.
  */
 std::string
 cellKey(const Cell &cell)
@@ -802,7 +800,7 @@ const std::vector<Experiment> kRegistry = {
     {"commit_width", commitWidth},
 };
 
-/** Run @p workload of @p cell on @p core, verified as runSuite does. */
+/** Run @p workload of @p cell on @p core, verified by runOneWorkload. */
 Outcome
 simulate(Core &core, const Cell &cell, const Workload &workload)
 {
@@ -818,21 +816,7 @@ simulate(Core &core, const Cell &cell, const Workload &workload)
     }
     RunOptions options;
     options.modelIBuffers = cell.mode == Mode::IBuffers;
-    RunResult run = core.run(workload.trace(), options);
-    if (run.interrupted || !matchesFunctional(run, workload.func) ||
-        run.instructions != workload.trace().size())
-        ruu_fatal("%s mis-simulated '%s' (simulator bug)",
-                  describe(cell).c_str(), workload.name.c_str());
-    // No table may print a run that beats its certified lower bound.
-    const lint::ResourceBound &bound =
-        lint::cachedResourceBound(workload.trace(), cell.config);
-    if (run.cycles < bound.cycles)
-        ruu_fatal("%s ran '%s' in %llu cycles, below its %s-bound resource "
-                  "lower bound of %llu (simulator bug)",
-                  describe(cell).c_str(), workload.name.c_str(),
-                  static_cast<unsigned long long>(run.cycles),
-                  bound.bindingName().c_str(),
-                  static_cast<unsigned long long>(bound.cycles));
+    RunResult run = runOneWorkload(core, workload, cell.config, options);
     out.cycles = run.cycles;
     out.instructions = run.instructions;
     for (std::size_t i = 0; i < kCounters.size(); ++i)

@@ -14,6 +14,9 @@
 #   3. sustained random I/O errors degrade service (refusals carry
 #      diagnostics) but never kill the daemon.
 #
+# At the end no job worker may remain: a stopped daemon reaps its own,
+# and one whose daemon died exits at EOF on its input.
+#
 #   usage: scripts/ci_chaos_smoke.sh <ruusim-binary> [workdir] [bench-out]
 #
 # Writes the point counts and recovery tally to bench-out (default
@@ -197,6 +200,18 @@ stop_daemon
 
 if [ "$UNSCHEDULED" -ne 0 ]; then
     echo "chaos smoke failed: $UNSCHEDULED unscheduled daemon deaths" >&2
+    exit 1
+fi
+
+# Workers keep the daemons' session; a zombie no longer shows its
+# command line, so it does not match.
+for _ in $(seq 100); do
+    LEFT=$(pgrep -s 0 -f __serve-worker || true)
+    [ -z "$LEFT" ] && break
+    sleep 0.1
+done
+if [ -n "$LEFT" ]; then
+    echo "chaos smoke failed: job workers remain:" $LEFT >&2
     exit 1
 fi
 

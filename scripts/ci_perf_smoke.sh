@@ -11,9 +11,10 @@
 #      lll01 must each stay under MAX_FIXED_RSS_MIB peak RSS, so a
 #      command that builds or copies workloads it does not name fails;
 #      so must a one-cell `storm lll03`, whose thousands of deliveries
-#      must not each leave a regenerated trace and stream behind, and
-#      an idle `ruusim serve` (start, ping, stop), which builds no
-#      kernel until a job names one.
+#      must not each leave a regenerated trace and stream behind, an
+#      idle `ruusim serve` (start, ping, stop), which builds no kernel
+#      until a job names one, `run suite`, whose 14 golden images are
+#      compact, and a daemon serving `submit suite` on its job workers.
 # Wall-clocks of all runs are recorded to a BENCH_perf.json so both
 # speedups are tracked over time. Byte-identity is the gate; speed is
 # a measurement — shared CI runners cannot promise real cores, so the
@@ -149,13 +150,19 @@ fcheck "run halt.s --json" "$RUUSIM" run "$WORKDIR/halt.s" --json
 fcheck "run lll01 --json" "$RUUSIM" run lll01 --json
 fcheck "storm lll03 --core ruu --points 1 -j1" \
     "$RUUSIM" storm lll03 --core ruu --points 1 -j1
+fcheck "run suite --core ruu --json" "$RUUSIM" run suite --core ruu --json
 # The shell waits for the daemon and both clients, so wait4 reports
-# the largest of them: the daemon.
+# the largest of them: the daemon, or a job worker it reaped.
 fcheck "serve idle: start, ping, stop" sh -c \
     '"$0" serve --socket "$1" 2> /dev/null &
      "$0" submit --socket "$1" --ping > /dev/null || kill $!
      "$0" submit --socket "$1" --stop > /dev/null || kill $!
      wait $!' "$RUUSIM" "$WORKDIR/idle.sock"
+fcheck "serve: submit suite --core ruu, stop" sh -c \
+    '"$0" serve --socket "$1" 2> /dev/null &
+     "$0" submit suite --socket "$1" --core ruu > /dev/null || kill $!
+     "$0" submit --socket "$1" --stop > /dev/null || kill $!
+     wait $!' "$RUUSIM" "$WORKDIR/suite.sock"
 
 echo "== pool-size sweep: -j1 vs -j$JOBS must be byte-identical"
 ss=$(timed "$WORKDIR/sweep_serial.txt" "$RUUSIM" sweep suite -j1)

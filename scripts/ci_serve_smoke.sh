@@ -4,7 +4,8 @@
 # serve a second pass almost entirely from the content-addressed cache,
 # recover from a SIGKILL mid-batch to byte-identical results, shed
 # overload with an explicit verdict, and survive hostile bytes and
-# hostile jobs without dying.
+# hostile jobs without dying. No job worker may outlive `--stop`, and
+# the workers of a SIGKILLed daemon must exit on their own.
 #
 #   usage: scripts/ci_serve_smoke.sh <ruusim-binary> [workdir] [bench-out]
 #
@@ -31,10 +32,31 @@ start_daemon() {
     DAEMON_PID=$!
 }
 
+# The daemon's job workers (serve/worker.hh), by pid.
+workers_of() {
+    pgrep -P "$1" -f __serve-worker || true
+}
+
+# alive <pid>: the process exists and is not a zombie.
+alive() {
+    local state
+    state=$(ps -o stat= -p "$1" 2>/dev/null) || return 1
+    [ -n "$state" ] && [ "${state#Z}" = "$state" ]
+}
+
 stop_daemon() {
     if [ -n "$DAEMON_PID" ] && kill -0 "$DAEMON_PID" 2>/dev/null; then
+        local workers
+        workers=$(workers_of "$DAEMON_PID")
         submit --stop >/dev/null 2>&1 || kill "$DAEMON_PID" || true
         wait "$DAEMON_PID" 2>/dev/null || true
+        # The daemon reaps its workers before it exits.
+        for pid in $workers; do
+            if alive "$pid"; then
+                echo "job worker $pid outlived the daemon's --stop" >&2
+                exit 1
+            fi
+        done
     fi
     DAEMON_PID=
 }
@@ -124,10 +146,22 @@ start_daemon
 submit suite > "$WORKDIR/killed.json" 2>/dev/null &
 SUBMIT_PID=$!
 sleep 0.2
+orphans=$(workers_of "$DAEMON_PID")
 kill -9 "$DAEMON_PID"
 wait "$DAEMON_PID" 2>/dev/null || true
 DAEMON_PID=
 wait "$SUBMIT_PID" 2>/dev/null || true
+# A worker whose daemon died reads EOF on its input once its job ends.
+for pid in $orphans; do
+    for _ in $(seq 100); do
+        alive "$pid" || break
+        sleep 0.1
+    done
+    if alive "$pid"; then
+        echo "job worker $pid outlived its SIGKILLed daemon by 10 s" >&2
+        exit 1
+    fi
+done
 
 start_daemon
 submit suite > "$WORKDIR/recovered.json"

@@ -273,7 +273,7 @@ class Core
     /**
      * The pre-decoded stream of the current run's trace; non-null
      * exactly when activeEngine() == Compiled. Set by run() before
-     * runImpl, from the process-wide engine::cachedStream memo.
+     * runImpl, from engine::cachedStream (the trace's own memo).
      */
     const engine::CompiledStream &stream() const { return *_stream; }
 

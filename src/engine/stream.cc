@@ -1,13 +1,9 @@
 #include "engine/stream.hh"
 
 #include <array>
-#include <map>
-#include <mutex>
-#include <tuple>
 #include <unordered_map>
 
 #include "isa/reg.hh"
-#include "lint/dataflow_bound.hh"
 
 namespace ruu::engine
 {
@@ -15,33 +11,7 @@ namespace ruu::engine
 namespace
 {
 
-/** Cache key: trace identity (address + length + fingerprint). */
-struct StreamKey
-{
-    const void *trace;
-    std::size_t records;
-    std::uint64_t fingerprint;
-
-    bool operator<(const StreamKey &o) const
-    {
-        return std::tie(trace, records, fingerprint) <
-               std::tie(o.trace, o.records, o.fingerprint);
-    }
-};
-
-struct StreamCache
-{
-    std::mutex mutex;
-    std::map<StreamKey, std::shared_ptr<const CompiledStream>> entries;
-    StreamCacheStats stats;
-};
-
-StreamCache &
-streamCache()
-{
-    static StreamCache cache;
-    return cache;
-}
+ArtifactCounters streamCounters;
 
 } // namespace
 
@@ -127,63 +97,17 @@ compileStream(const Trace &trace)
     return st;
 }
 
-std::uint64_t
-streamTraceFingerprint(const Trace &trace)
-{
-    const auto &records = trace.records();
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-        h = (h ^ v) * 0x100000001b3ull;
-    };
-    std::size_t n = records.size();
-    std::size_t step = n > 64 ? n / 64 : 1;
-    for (std::size_t i = 0; i < n; i += step) {
-        const TraceRecord &rec = records[i];
-        mix(static_cast<std::uint64_t>(rec.inst.op));
-        mix(rec.inst.dst.valid() ? rec.inst.dst.flat() + 1 : 0);
-        mix(rec.inst.src1.valid() ? rec.inst.src1.flat() + 1 : 0);
-        mix(rec.inst.src2.valid() ? rec.inst.src2.flat() + 1 : 0);
-        mix(static_cast<std::uint64_t>(rec.inst.imm));
-        mix(rec.pc);
-        mix(rec.memAddr);
-        mix(static_cast<std::uint64_t>(rec.staticIndex));
-    }
-    return h;
-}
-
 std::shared_ptr<const CompiledStream>
 cachedStream(const Trace &trace)
 {
-    StreamKey key;
-    key.trace = &trace;
-    key.records = trace.records().size();
-    key.fingerprint = streamTraceFingerprint(trace);
-
-    StreamCache &cache = streamCache();
-    {
-        std::lock_guard<std::mutex> lock(cache.mutex);
-        ++cache.stats.lookups;
-        auto it = cache.entries.find(key);
-        if (it != cache.entries.end()) {
-            ++cache.stats.hits;
-            return it->second;
-        }
-    }
-    // Decode outside the lock (deterministic: a racing duplicate is
-    // wasted work, not wrong work).
-    auto stream =
-        std::make_shared<const CompiledStream>(compileStream(trace));
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return cache.entries.emplace(key, std::move(stream))
-        .first->second;
+    return trace.artifacts().get<CompiledStream>(
+        {}, streamCounters, [&] { return compileStream(trace); });
 }
 
 StreamCacheStats
 streamCacheStats()
 {
-    StreamCache &cache = streamCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return cache.stats;
+    return {streamCounters.lookups.load(), streamCounters.hits.load()};
 }
 
 } // namespace ruu::engine

@@ -10,17 +10,18 @@
  * hot loop touches one flag word per record instead of re-decoding
  * through the opcode table (whose accessors carry always-on asserts).
  *
- * Streams are immutable once built and shared read-only: the parallel
- * sweep workers (src/par) and the ruusimd campaign units all resolve
- * the same kernel to the same Trace object, so the process-wide memo
- * below decodes each trace exactly once per process.
+ * Streams are immutable once built and shared read-only. A stream is
+ * one of its trace's artifacts (trace/trace.hh): the parallel sweep
+ * workers (src/par) all resolve the same kernel to the same Trace
+ * object, so each trace is decoded once, and the stream is freed with
+ * the trace.
  *
  * Fault annotations are deliberately NOT part of the stream. They are
  * the only mutable field of a trace (Trace::injectFault), and the
- * cores read them straight from the live TraceRecord — so a cached
- * stream stays valid across the thousands of injectFault/clearFaults
- * mutations of a fault-sweep campaign, and the cache key needs no
- * fault epoch.
+ * cores read them straight from the live TraceRecord — so a stream
+ * stays valid across the thousands of injectFault/clearFaults
+ * mutations of a fault-sweep campaign, and the trace copies a sweep
+ * annotates share it.
  */
 
 #ifndef RUU_ENGINE_STREAM_HH
@@ -84,7 +85,7 @@ struct CompiledStream
 /** Decode @p trace into a stream. Linear in trace length. */
 CompiledStream compileStream(const Trace &trace);
 
-/** Hit/lookup counters of the process-wide stream cache. */
+/** Hit/lookup counters of cachedStream, summed over every trace. */
 struct StreamCacheStats
 {
     std::uint64_t lookups = 0;
@@ -92,21 +93,10 @@ struct StreamCacheStats
 };
 
 /**
- * Content fingerprint of @p trace for stream identity: FNV-1a over up
- * to 64 evenly spaced records, mixing the decoded instruction fields
- * (opcode, registers, immediate) as well as pc/address/position.
- * Stronger than lint::boundTraceFingerprint, which ignores the
- * instruction itself — two traces of the same shape differing only in
- * opcodes must not share a stream when a freed trace's address is
- * reused.
- */
-std::uint64_t streamTraceFingerprint(const Trace &trace);
-
-/**
- * Memoized compileStream, keyed like lint::cachedDataflowBound on the
- * trace's address, length and content fingerprint (the stream depends
- * on nothing else — not the config, not fault annotations).
- * Thread-safe; the returned stream is immutable and shared.
+ * The stream of @p trace, decoded on its first lookup and kept among
+ * the trace's artifacts (it depends on nothing else — not the config,
+ * not fault annotations). Thread-safe; the returned stream is
+ * immutable and shared.
  */
 std::shared_ptr<const CompiledStream> cachedStream(const Trace &trace);
 

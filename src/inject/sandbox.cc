@@ -1,13 +1,12 @@
 #include "inject/sandbox.hh"
 
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstring>
-#include <mutex>
 
 #include <fcntl.h>
 #include <poll.h>
+#include <pthread.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -85,17 +84,109 @@ lastPayload(const std::string &text, const std::string &tag)
 }
 
 /**
- * Serializes pipe creation, fork, and the parent-side close of the
- * write ends. Without it, a child forked concurrently from another
- * thread inherits this sandbox's pipe write-ends and holds them open
- * for its whole trial — the parent then never sees EOF and a cleanly
- * finished trial can sit at poll() until the watchdog misfiles it as
- * hung. Inside the lock the only fd holders are this parent and this
- * child, so EOF tracks the child's lifetime exactly.
+ * Write what @p fd accepts now of @p text from @p done on; false once
+ * the reader is gone. SIGPIPE is blocked on this thread for the call,
+ * and a SIGPIPE the write raised is consumed.
  */
+bool
+writeSome(int fd, const std::string &text, std::size_t &done)
+{
+    sigset_t pipe, old;
+    sigemptyset(&pipe);
+    sigaddset(&pipe, SIGPIPE);
+    pthread_sigmask(SIG_BLOCK, &pipe, &old);
+    bool open = true;
+    while (done < text.size()) {
+        ssize_t n = ::write(fd, text.data() + done, text.size() - done);
+        if (n >= 0) {
+            done += static_cast<std::size_t>(n);
+            continue;
+        }
+        if (errno == EINTR)
+            continue;
+        if (errno == EPIPE) {
+            timespec zero{};
+            ::sigtimedwait(&pipe, nullptr, &zero);
+        }
+        open = errno == EAGAIN || errno == EWOULDBLOCK;
+        break;
+    }
+    pthread_sigmask(SIG_SETMASK, &old, nullptr);
+    return open;
+}
+
 std::mutex spawnMutex;
 
 } // namespace
+
+std::unique_lock<std::mutex>
+spawnLock()
+{
+    return std::unique_lock<std::mutex>(spawnMutex);
+}
+
+TendEnd
+tendPipes(ChildPipes &pipes, std::chrono::steady_clock::time_point deadline,
+          const std::function<bool(const std::string &)> &done)
+{
+    for (int fd : {pipes.in, pipes.report, pipes.err})
+        if (fd >= 0)
+            setNonBlocking(fd);
+    std::size_t written = 0;
+    bool inOpen = pipes.in >= 0 && !pipes.pending.empty();
+    bool reportOpen = pipes.report >= 0;
+    bool errOpen = pipes.err >= 0;
+
+    TendEnd end = TendEnd::Eof;
+    while (reportOpen || errOpen) {
+        if (done(pipes.reportText)) {
+            end = TendEnd::Done;
+            break;
+        }
+        auto now = std::chrono::steady_clock::now();
+        if (now >= deadline) {
+            end = TendEnd::Deadline;
+            break;
+        }
+        int waitMs = static_cast<int>(
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                deadline - now)
+                .count());
+        if (waitMs < 1)
+            waitMs = 1;
+
+        struct pollfd fds[3];
+        nfds_t nfds = 0;
+        if (inOpen)
+            fds[nfds++] = {pipes.in, POLLOUT, 0};
+        if (reportOpen)
+            fds[nfds++] = {pipes.report, POLLIN, 0};
+        if (errOpen)
+            fds[nfds++] = {pipes.err, POLLIN, 0};
+        int rc = ::poll(fds, nfds, waitMs);
+        if (rc < 0) {
+            if (errno == EINTR)
+                continue;
+            break;
+        }
+        for (nfds_t i = 0; i < nfds; ++i) {
+            if (!fds[i].revents)
+                continue;
+            if (fds[i].fd == pipes.in) {
+                inOpen = writeSome(pipes.in, pipes.pending, written) &&
+                         written < pipes.pending.size();
+            } else if (fds[i].fd == pipes.report) {
+                reportOpen = drain(pipes.report, pipes.reportText);
+            } else {
+                errOpen = drain(pipes.err, pipes.errText);
+            }
+        }
+    }
+    if (end == TendEnd::Eof && done(pipes.reportText))
+        end = TendEnd::Done;
+    pipes.pending.erase(0, written);
+    return end;
+}
 
 void
 SandboxChannel::send(const std::string &tag,
@@ -110,7 +201,7 @@ runSandboxed(const std::function<void(SandboxChannel &)> &body,
 {
     SandboxOutcome outcome;
 
-    std::unique_lock<std::mutex> spawn(spawnMutex);
+    std::unique_lock<std::mutex> spawn = spawnLock();
     int proto[2] = {-1, -1};
     int errp[2] = {-1, -1};
     if (::pipe(proto) != 0) {
@@ -153,74 +244,31 @@ runSandboxed(const std::function<void(SandboxChannel &)> &body,
     ::close(proto[1]);
     ::close(errp[1]);
     spawn.unlock();
-    setNonBlocking(proto[0]);
-    setNonBlocking(errp[0]);
 
-    std::string protoBuf;
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(timeoutMs);
-    bool timedOut = false;
-    bool protoOpen = true;
-    bool errOpen = true;
-
-    while (protoOpen || errOpen) {
-        auto now = std::chrono::steady_clock::now();
-        if (now >= deadline) {
-            timedOut = true;
-            break;
-        }
-        int waitMs = static_cast<int>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - now)
-                .count());
-        if (waitMs < 1)
-            waitMs = 1;
-
-        struct pollfd fds[2];
-        nfds_t nfds = 0;
-        if (protoOpen) {
-            fds[nfds].fd = proto[0];
-            fds[nfds].events = POLLIN;
-            ++nfds;
-        }
-        if (errOpen) {
-            fds[nfds].fd = errp[0];
-            fds[nfds].events = POLLIN;
-            ++nfds;
-        }
-        int rc = ::poll(fds, nfds, waitMs);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (rc == 0)
-            continue; // loop re-checks the deadline
-        for (nfds_t i = 0; i < nfds; ++i) {
-            if (!(fds[i].revents & (POLLIN | POLLHUP | POLLERR)))
-                continue;
-            if (fds[i].fd == proto[0]) {
-                if (!drain(proto[0], protoBuf))
-                    protoOpen = false;
-            } else {
-                if (!drain(errp[0], outcome.stderrText))
-                    errOpen = false;
-            }
-        }
-    }
+    ChildPipes pipes;
+    pipes.report = proto[0];
+    pipes.err = errp[0];
+    bool timedOut =
+        tendPipes(pipes,
+                  std::chrono::steady_clock::now() +
+                      std::chrono::milliseconds(timeoutMs),
+                  [](const std::string &) { return false; }) ==
+        TendEnd::Deadline;
 
     int status = 0;
     if (timedOut) {
         ::kill(pid, SIGKILL);
         // Final drain: the child may have reported just before the
         // deadline.
-        drain(proto[0], protoBuf);
-        drain(errp[0], outcome.stderrText);
+        drain(proto[0], pipes.reportText);
+        drain(errp[0], pipes.errText);
     }
     while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
     }
     ::close(proto[0]);
     ::close(errp[0]);
+    outcome.stderrText = std::move(pipes.errText);
+    const std::string &protoBuf = pipes.reportText;
 
     outcome.preLine = lastPayload(protoBuf, "PRE");
     outcome.resLine = lastPayload(protoBuf, "RES");

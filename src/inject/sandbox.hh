@@ -22,13 +22,56 @@
 #ifndef RUU_INJECT_SANDBOX_HH
 #define RUU_INJECT_SANDBOX_HH
 
+#include <chrono>
 #include <functional>
+#include <mutex>
 #include <string>
 
 #include "common/backoff.hh"
 
 namespace ruu::inject
 {
+
+/**
+ * The pipes a parent tends for one child: @p pending is written to the
+ * child's input while its report and its captured stdout/stderr are
+ * read. A -1 fd is absent.
+ */
+struct ChildPipes
+{
+    int in = -1;         //!< child's input (write end)
+    int report = -1;     //!< child's report pipe (read end)
+    int err = -1;        //!< child's stdout+stderr (read end)
+    std::string pending; //!< bytes not yet written to @p in
+    std::string reportText;
+    std::string errText;
+};
+
+/** Why tendPipes returned. */
+enum class TendEnd
+{
+    Done,     //!< the caller's predicate held
+    Eof,      //!< report and err both reached EOF: the child is gone
+    Deadline, //!< the deadline passed first
+};
+
+/**
+ * Write @p pipes.pending and read the report and err pipes (each made
+ * non-blocking) until @p done(reportText) holds, both read pipes reach
+ * EOF, or @p deadline passes. A child that stops reading its input
+ * drops the rest of pending; SIGPIPE never reaches the caller.
+ */
+TendEnd tendPipes(ChildPipes &pipes,
+                  std::chrono::steady_clock::time_point deadline,
+                  const std::function<bool(const std::string &)> &done);
+
+/**
+ * Held while a child's pipes are made and the child is started, until
+ * the parent has closed the child's ends: a sandbox forked meanwhile
+ * from another thread would otherwise inherit those ends and hold them
+ * open, and the parent would wait on the copy for EOF.
+ */
+std::unique_lock<std::mutex> spawnLock();
 
 /** The child's half of the reporting pipe. */
 class SandboxChannel

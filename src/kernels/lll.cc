@@ -66,9 +66,11 @@ sharedLivermoreWorkload(const std::string &name)
     constexpr std::size_t kCount = std::size(kKernels);
     static std::once_flag built[kCount];
     static std::optional<Workload> workloads[kCount];
+    static std::mutex building;
     for (std::size_t i = 0; i < kCount; ++i)
         if (name == kKernels[i].name) {
             std::call_once(built[i], [i] {
+                std::lock_guard<std::mutex> lock(building);
                 workloads[i] = makeWorkload(kKernels[i].make().program);
             });
             return &*workloads[i];

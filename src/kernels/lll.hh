@@ -72,9 +72,11 @@ std::optional<Workload> livermoreWorkload(const std::string &name);
 /**
  * The workload of the kernel named @p name, built the first time any
  * thread asks for it and kept for the rest of the process: each
- * kernel builds once, different kernels build concurrently, and a
- * caller asking for a kernel mid-build waits for that build. nullptr
- * for any other name. Resolve names before forking: a child forked
+ * kernel builds once, and a caller asking for a kernel mid-build waits
+ * for that build. Kernels build one at a time: a build holds a dense
+ * 8 MiB functional image until its golden image is compacted, and a
+ * daemon resolving the suite on every pool thread at once would hold
+ * one per thread. nullptr for any other name. Resolve names before forking: a child forked
  * mid-build must only read references it was handed.
  */
 const Workload *sharedLivermoreWorkload(const std::string &name);

@@ -1,9 +1,6 @@
 #include "lint/dataflow_bound.hh"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
-#include <tuple>
 #include <unordered_map>
 
 #include "isa/reg.hh"
@@ -101,37 +98,7 @@ dataflowBound(const Trace &trace, const UarchConfig &config)
 namespace
 {
 
-/** Cache key: trace identity plus the config fields minCost reads. */
-struct BoundKey
-{
-    const void *trace;
-    std::size_t records;
-    std::uint64_t fingerprint;
-    std::array<unsigned, kNumFuKinds> fuLatency;
-    unsigned forwardLatency;
-
-    bool operator<(const BoundKey &o) const
-    {
-        return std::tie(trace, records, fingerprint, fuLatency,
-                        forwardLatency) <
-               std::tie(o.trace, o.records, o.fingerprint, o.fuLatency,
-                        o.forwardLatency);
-    }
-};
-
-struct BoundCache
-{
-    std::mutex mutex;
-    std::map<BoundKey, DataflowBound> entries;
-    BoundCacheStats stats;
-};
-
-BoundCache &
-boundCache()
-{
-    static BoundCache cache;
-    return cache;
-}
+ArtifactCounters dataflowCounters;
 
 } // namespace
 
@@ -157,36 +124,18 @@ boundTraceFingerprint(const Trace &trace)
 const DataflowBound &
 cachedDataflowBound(const Trace &trace, const UarchConfig &config)
 {
-    BoundKey key;
-    key.trace = &trace;
-    key.records = trace.records().size();
-    key.fingerprint = boundTraceFingerprint(trace);
-    key.fuLatency = config.fuLatency;
-    key.forwardLatency = config.forwardLatency;
-
-    BoundCache &cache = boundCache();
-    {
-        std::lock_guard<std::mutex> lock(cache.mutex);
-        ++cache.stats.lookups;
-        auto it = cache.entries.find(key);
-        if (it != cache.entries.end()) {
-            ++cache.stats.hits;
-            return it->second;
-        }
-    }
-    // Compute outside the lock (the bound is deterministic, so a
-    // racing duplicate computation is wasted work, not wrong work).
-    DataflowBound bound = dataflowBound(trace, config);
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return cache.entries.emplace(key, bound).first->second;
+    std::vector<std::uint64_t> fields(config.fuLatency.begin(),
+                                      config.fuLatency.end());
+    fields.push_back(config.forwardLatency);
+    return *trace.artifacts().get<DataflowBound>(
+        std::move(fields), dataflowCounters,
+        [&] { return dataflowBound(trace, config); });
 }
 
 BoundCacheStats
 boundCacheStats()
 {
-    BoundCache &cache = boundCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return cache.stats;
+    return {dataflowCounters.lookups.load(), dataflowCounters.hits.load()};
 }
 
 } // namespace ruu::lint

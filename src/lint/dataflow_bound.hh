@@ -86,7 +86,7 @@ DataflowBound dataflowBound(const Trace &trace,
 std::uint64_t minRecordCost(const TraceRecord &record,
                             const UarchConfig &config);
 
-/** Hit/lookup counters of the process-wide bound cache. */
+/** Hit/lookup counters of one bound memo, summed over every trace. */
 struct BoundCacheStats
 {
     std::uint64_t lookups = 0;
@@ -98,10 +98,9 @@ struct BoundCacheStats
  * latency-related configuration fields (fuLatency, forwardLatency) —
  * it is invariant across pool-size sweep points — so the sweep drivers
  * share one computation per (trace, latency profile) instead of
- * recomputing it at every point. Keyed on the trace's address, length
- * and a content fingerprint plus the latency fields; entries are never
- * evicted. Thread-safe; the returned reference is stable for the
- * process lifetime.
+ * recomputing it at every point. Kept among the trace's artifacts
+ * (trace/trace.hh) under those fields. Thread-safe; the returned
+ * reference is valid while the trace lives and is not appended to.
  */
 const DataflowBound &cachedDataflowBound(const Trace &trace,
                                          const UarchConfig &config);
@@ -110,9 +109,10 @@ const DataflowBound &cachedDataflowBound(const Trace &trace,
 BoundCacheStats boundCacheStats();
 
 /**
- * Cheap content fingerprint of @p trace (FNV-1a over up to 64 evenly
- * spaced records): guards the bound caches against a freed trace's
- * address being reused by a different trace of the same length.
+ * Cheap sampled fingerprint of @p trace (FNV-1a over the pc, address
+ * and static index of up to 64 evenly spaced records; never the
+ * instruction). No memo keys on it any more: the bounds belong to
+ * their trace. Kept for perfbench's traced serve replay.
  */
 std::uint64_t boundTraceFingerprint(const Trace &trace);
 

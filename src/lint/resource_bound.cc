@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
-#include <tuple>
 #include <unordered_map>
 
 #include "common/logging.hh"
@@ -265,92 +262,31 @@ resourceBound(const Trace &trace, const UarchConfig &config)
 namespace
 {
 
-/** Cache key: trace identity plus every config field the floors read. */
-struct ResourceBoundKey
-{
-    const void *trace;
-    std::size_t records;
-    std::uint64_t fingerprint;
-    std::array<unsigned, kNumFuKinds> fuLatency;
-    std::array<unsigned, kNumFuKinds> fuCount;
-    unsigned forwardLatency;
-    unsigned storeLatency;
-    unsigned resultBuses;
-    unsigned commitWidth;
-    unsigned branchTakenPenalty;
-    unsigned predictedTakenPenalty;
-    unsigned mispredictPenalty;
-
-    bool operator<(const ResourceBoundKey &o) const
-    {
-        return std::tie(trace, records, fingerprint, fuLatency, fuCount,
-                        forwardLatency, storeLatency, resultBuses,
-                        commitWidth, branchTakenPenalty,
-                        predictedTakenPenalty, mispredictPenalty) <
-               std::tie(o.trace, o.records, o.fingerprint, o.fuLatency,
-                        o.fuCount, o.forwardLatency, o.storeLatency,
-                        o.resultBuses, o.commitWidth,
-                        o.branchTakenPenalty, o.predictedTakenPenalty,
-                        o.mispredictPenalty);
-    }
-};
-
-struct ResourceBoundCache
-{
-    std::mutex mutex;
-    std::map<ResourceBoundKey, ResourceBound> entries;
-    BoundCacheStats stats;
-};
-
-ResourceBoundCache &
-resourceBoundCache()
-{
-    static ResourceBoundCache cache;
-    return cache;
-}
+ArtifactCounters resourceCounters;
 
 } // namespace
 
 const ResourceBound &
 cachedResourceBound(const Trace &trace, const UarchConfig &config)
 {
-    ResourceBoundKey key;
-    key.trace = &trace;
-    key.records = trace.records().size();
-    key.fingerprint = boundTraceFingerprint(trace);
-    key.fuLatency = config.fuLatency;
-    key.fuCount = config.fuCount;
-    key.forwardLatency = config.forwardLatency;
-    key.storeLatency = config.storeLatency;
-    key.resultBuses = config.resultBuses;
-    key.commitWidth = config.commitWidth;
-    key.branchTakenPenalty = config.branchTakenPenalty;
-    key.predictedTakenPenalty = config.predictedTakenPenalty;
-    key.mispredictPenalty = config.mispredictPenalty;
-
-    ResourceBoundCache &cache = resourceBoundCache();
-    {
-        std::lock_guard<std::mutex> lock(cache.mutex);
-        ++cache.stats.lookups;
-        auto it = cache.entries.find(key);
-        if (it != cache.entries.end()) {
-            ++cache.stats.hits;
-            return it->second;
-        }
-    }
-    // Compute outside the lock (the bound is deterministic, so a
-    // racing duplicate computation is wasted work, not wrong work).
-    ResourceBound bound = resourceBound(trace, config);
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return cache.entries.emplace(key, bound).first->second;
+    std::vector<std::uint64_t> fields(config.fuLatency.begin(),
+                                      config.fuLatency.end());
+    fields.insert(fields.end(), config.fuCount.begin(),
+                  config.fuCount.end());
+    fields.insert(fields.end(),
+                  {config.forwardLatency, config.storeLatency,
+                   config.resultBuses, config.commitWidth,
+                   config.branchTakenPenalty, config.predictedTakenPenalty,
+                   config.mispredictPenalty});
+    return *trace.artifacts().get<ResourceBound>(
+        std::move(fields), resourceCounters,
+        [&] { return resourceBound(trace, config); });
 }
 
 BoundCacheStats
 resourceBoundCacheStats()
 {
-    ResourceBoundCache &cache = resourceBoundCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return cache.stats;
+    return {resourceCounters.lookups.load(), resourceCounters.hits.load()};
 }
 
 } // namespace ruu::lint

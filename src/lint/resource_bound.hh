@@ -148,13 +148,13 @@ ResourceBound resourceBound(const Trace &trace,
                             const UarchConfig &config);
 
 /**
- * Memoized resourceBound. Keyed on the trace's identity (address,
- * length, content fingerprint) plus every configuration field the
- * floors read: fuLatency, fuCount, forwardLatency, storeLatency,
- * resultBuses, commitWidth, and the branch penalties. Invariant across
- * pool-size sweep points, so sweeps share one computation per trace.
- * Thread-safe; entries are never evicted and the returned reference is
- * stable for the process lifetime.
+ * Memoized resourceBound, kept among the trace's artifacts
+ * (trace/trace.hh) under every configuration field the floors read:
+ * fuLatency, fuCount, forwardLatency, storeLatency, resultBuses,
+ * commitWidth, and the branch penalties. Invariant across pool-size
+ * sweep points, so sweeps share one computation per trace.
+ * Thread-safe; the returned reference is valid while the trace lives
+ * and is not appended to.
  */
 const ResourceBound &cachedResourceBound(const Trace &trace,
                                          const UarchConfig &config);
@@ -162,8 +162,8 @@ const ResourceBound &cachedResourceBound(const Trace &trace,
 /**
  * Counters of cachedResourceBound since process start. Like
  * boundCacheStats(), the counters are process-global: concurrent
- * lookups from a parallel sweep are aggregated under one mutex, and
- * tests must assert on deltas, not absolute values.
+ * lookups from a parallel sweep all count, so tests must assert on
+ * deltas, not absolute values.
  */
 BoundCacheStats resourceBoundCacheStats();
 

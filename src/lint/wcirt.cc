@@ -1,9 +1,6 @@
 #include "lint/wcirt.hh"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
-#include <tuple>
 #include <vector>
 
 #include "common/logging.hh"
@@ -169,27 +166,6 @@ drainCeiling(std::uint64_t occupancy, const UarchConfig &config)
     drain = satAdd(drain, ceilDiv(occupancy, config.commitWidth));
     drain = satAdd(drain, worstBranchPenalty(config));
     return satAdd(drain, 8);
-}
-
-/** FNV-1a over the handler's instructions (cache-key fingerprint). */
-std::uint64_t
-programFingerprint(const Program &program)
-{
-    std::uint64_t hash = 1469598103934665603ull;
-    auto mix = [&hash](std::uint64_t value) {
-        hash ^= value;
-        hash *= 1099511628211ull;
-    };
-    mix(program.size());
-    mix(program.isHandler() ? 1 : 0);
-    const std::size_t step = std::max<std::size_t>(
-        1, program.size() / 64);
-    for (std::size_t i = 0; i < program.size(); i += step) {
-        const Instruction &inst = program.inst(i);
-        mix(static_cast<std::uint64_t>(inst.op));
-        mix(inst.target);
-    }
-    return hash;
 }
 
 } // namespace
@@ -387,70 +363,7 @@ wcirtBound(const Trace &trace, const Program &handler,
 namespace
 {
 
-/** Cache key: trace + handler identity plus every field the ceiling
- * reads. */
-struct WcirtBoundKey
-{
-    const void *trace;
-    std::size_t records;
-    std::uint64_t fingerprint;
-    const void *handler;
-    std::uint64_t handlerFingerprint;
-    unsigned kind;
-    Cycle exchangeCycles;
-    unsigned maxLevels;
-    std::array<unsigned, kNumFuKinds> fuLatency;
-    unsigned forwardLatency;
-    unsigned storeLatency;
-    unsigned resultBuses;
-    unsigned commitWidth;
-    unsigned memoryBanks;
-    unsigned bankBusyCycles;
-    unsigned branchTakenPenalty;
-    unsigned branchUntakenPenalty;
-    unsigned predictedTakenPenalty;
-    unsigned mispredictPenalty;
-    unsigned poolEntries;
-    unsigned tuEntries;
-    unsigned rsPerFu;
-    unsigned historyEntries;
-    unsigned loadRegisters;
-
-    bool operator<(const WcirtBoundKey &o) const
-    {
-        return std::tie(trace, records, fingerprint, handler,
-                        handlerFingerprint, kind, exchangeCycles,
-                        maxLevels, fuLatency, forwardLatency,
-                        storeLatency, resultBuses, commitWidth,
-                        memoryBanks, bankBusyCycles, branchTakenPenalty,
-                        branchUntakenPenalty, predictedTakenPenalty,
-                        mispredictPenalty, poolEntries, tuEntries,
-                        rsPerFu, historyEntries, loadRegisters) <
-               std::tie(o.trace, o.records, o.fingerprint, o.handler,
-                        o.handlerFingerprint, o.kind, o.exchangeCycles,
-                        o.maxLevels, o.fuLatency, o.forwardLatency,
-                        o.storeLatency, o.resultBuses, o.commitWidth,
-                        o.memoryBanks, o.bankBusyCycles,
-                        o.branchTakenPenalty, o.branchUntakenPenalty,
-                        o.predictedTakenPenalty, o.mispredictPenalty,
-                        o.poolEntries, o.tuEntries, o.rsPerFu,
-                        o.historyEntries, o.loadRegisters);
-    }
-};
-
-struct WcirtBoundCache
-{
-    std::mutex mutex;
-    std::map<WcirtBoundKey, WcirtBound> entries;
-    BoundCacheStats stats;
-};
-
-WcirtBoundCache &
-wcirtBoundCache()
-{
-    static WcirtBoundCache cache;
-    return cache;
-}
+ArtifactCounters wcirtCounters;
 
 } // namespace
 
@@ -459,55 +372,27 @@ cachedWcirtBound(const Trace &trace, const Program &handler,
                  const UarchConfig &config, CoreKind kind,
                  const WcirtParams &params)
 {
-    WcirtBoundKey key;
-    key.trace = &trace;
-    key.records = trace.records().size();
-    key.fingerprint = boundTraceFingerprint(trace);
-    key.handler = &handler;
-    key.handlerFingerprint = programFingerprint(handler);
-    key.kind = static_cast<unsigned>(kind);
-    key.exchangeCycles = params.exchangeCycles;
-    key.maxLevels = params.maxLevels;
-    key.fuLatency = config.fuLatency;
-    key.forwardLatency = config.forwardLatency;
-    key.storeLatency = config.storeLatency;
-    key.resultBuses = config.resultBuses;
-    key.commitWidth = config.commitWidth;
-    key.memoryBanks = config.memoryBanks;
-    key.bankBusyCycles = config.bankBusyCycles;
-    key.branchTakenPenalty = config.branchTakenPenalty;
-    key.branchUntakenPenalty = config.branchUntakenPenalty;
-    key.predictedTakenPenalty = config.predictedTakenPenalty;
-    key.mispredictPenalty = config.mispredictPenalty;
-    key.poolEntries = config.poolEntries;
-    key.tuEntries = config.tuEntries;
-    key.rsPerFu = config.rsPerFu;
-    key.historyEntries = config.historyEntries;
-    key.loadRegisters = config.loadRegisters;
-
-    WcirtBoundCache &cache = wcirtBoundCache();
-    {
-        std::lock_guard<std::mutex> lock(cache.mutex);
-        ++cache.stats.lookups;
-        auto it = cache.entries.find(key);
-        if (it != cache.entries.end()) {
-            ++cache.stats.hits;
-            return it->second;
-        }
-    }
-    // Compute outside the lock (the ceiling is deterministic, so a
-    // racing duplicate computation is wasted work, not wrong work).
-    WcirtBound bound = wcirtBound(trace, handler, config, kind, params);
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return cache.entries.emplace(key, bound).first->second;
+    std::vector<std::uint64_t> fields(config.fuLatency.begin(),
+                                      config.fuLatency.end());
+    fields.insert(
+        fields.end(),
+        {programContentHash(handler), static_cast<std::uint64_t>(kind),
+         params.exchangeCycles, params.maxLevels, config.forwardLatency,
+         config.storeLatency, config.resultBuses, config.commitWidth,
+         config.memoryBanks, config.bankBusyCycles,
+         config.branchTakenPenalty, config.branchUntakenPenalty,
+         config.predictedTakenPenalty, config.mispredictPenalty,
+         config.poolEntries, config.tuEntries, config.rsPerFu,
+         config.historyEntries, config.loadRegisters});
+    return *trace.artifacts().get<WcirtBound>(
+        std::move(fields), wcirtCounters,
+        [&] { return wcirtBound(trace, handler, config, kind, params); });
 }
 
 BoundCacheStats
 wcirtBoundCacheStats()
 {
-    WcirtBoundCache &cache = wcirtBoundCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return cache.stats;
+    return {wcirtCounters.lookups.load(), wcirtCounters.hits.load()};
 }
 
 } // namespace ruu::lint

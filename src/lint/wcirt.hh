@@ -171,12 +171,12 @@ WcirtBound wcirtBound(const Trace &trace, const Program &handler,
                       const WcirtParams &params = {});
 
 /**
- * Memoized wcirtBound. Keyed on the trace's identity (address, length,
- * content fingerprint), the handler's identity, the core scheme, the
- * trap parameters, and every configuration field the ceiling reads.
- * Thread-safe; entries are never evicted and the returned reference is
- * stable for the process lifetime — sweep workers under -j share one
- * computation per key.
+ * Memoized wcirtBound, kept among the trace's artifacts
+ * (trace/trace.hh) under the handler's full content
+ * (programContentHash), the core scheme, the trap parameters, and
+ * every configuration field the ceiling reads. Thread-safe; the
+ * returned reference is valid while the trace lives and is not
+ * appended to — sweep workers under -j share one computation per key.
  */
 const WcirtBound &cachedWcirtBound(const Trace &trace,
                                    const Program &handler,

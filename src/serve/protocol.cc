@@ -55,6 +55,17 @@ jobStatusName(JobStatus status)
     return "failed";
 }
 
+Expected<JobStatus>
+jobStatusFromName(const std::string &name)
+{
+    for (JobStatus s : {JobStatus::Done, JobStatus::Rejected,
+                        JobStatus::Crashed, JobStatus::TimedOut,
+                        JobStatus::Failed})
+        if (name == jobStatusName(s))
+            return s;
+    return Error("unknown status '" + name + "'");
+}
+
 Expected<Request>
 parseRequest(const std::string &line)
 {

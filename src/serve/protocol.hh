@@ -147,13 +147,16 @@ enum class JobStatus
 {
     Done,     //!< payload holds the result JSON
     Rejected, //!< bad job (unknown kernel, bad program/config/core)
-    Crashed,  //!< the sandboxed run died of a signal
+    Crashed,  //!< the job's process died (signal or exit code)
     TimedOut, //!< the per-job deadline expired
     Failed,   //!< host trouble (spawn retries exhausted, ...)
 };
 
 /** The wire name of @p status ("done", "rejected", ...). */
 const char *jobStatusName(JobStatus status);
+
+/** Inverse of jobStatusName. */
+Expected<JobStatus> jobStatusFromName(const std::string &name);
 
 /** One job's result line. */
 std::string resultToLine(const std::string &id, JobStatus status,

@@ -11,17 +11,6 @@ namespace ruu::serve
 namespace
 {
 
-Expected<JobStatus>
-jobStatusFromName(const std::string &name)
-{
-    for (JobStatus s : {JobStatus::Done, JobStatus::Rejected,
-                        JobStatus::Crashed, JobStatus::TimedOut,
-                        JobStatus::Failed})
-        if (name == jobStatusName(s))
-            return s;
-    return Error("unknown status '" + name + "'");
-}
-
 /** Canonical form for spec-identity comparison (idempotent submit). */
 std::string
 specCanon(const CampaignSpec &spec)

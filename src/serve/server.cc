@@ -20,16 +20,14 @@
 #include "common/logging.hh"
 #include "engine/engine.hh"
 #include "inject/campaign.hh"
-#include "inject/sandbox.hh"
 #include "kernels/lll.hh"
 #include "par/ordered.hh"
 #include "serve/cache.hh"
 #include "serve/protocol.hh"
 #include "serve/queue.hh"
 #include "serve/recovery.hh"
+#include "serve/worker.hh"
 #include "sim/json.hh"
-#include "sim/machine.hh"
-#include "trap/storm.hh"
 
 namespace ruu::serve
 {
@@ -48,15 +46,6 @@ extern "C" void
 onDrainSignal(int)
 {
     gDrainSignal = 1;
-}
-
-/** Keep only the last @p keep characters of @p text. */
-std::string
-tail(const std::string &text, std::size_t keep)
-{
-    if (text.size() <= keep)
-        return text;
-    return "..." + text.substr(text.size() - keep);
 }
 
 /** Send all of @p line plus a newline; false once the peer is gone. */
@@ -93,7 +82,8 @@ class Server
   public:
     Server(const ServerOptions &options, ServerStats &stats)
         : _options(options), _stats(stats), _cache(options.cacheDir),
-          _pool(options.jobs), _start(std::chrono::steady_clock::now())
+          _workers(options.workerPath), _pool(options.jobs),
+          _start(std::chrono::steady_clock::now())
     {}
 
     Expected<int> run();
@@ -120,11 +110,10 @@ class Server
     ServeJournalWriter _journal;
     CampaignQueue _campaignQueue;
     std::vector<std::thread> _dispatchers;
+    WorkerPool _workers;
     par::Pool _pool;
     std::chrono::steady_clock::time_point _start;
     std::vector<JobSpec> _queue;
-    int _listenFd = -1; //!< closed in sandbox children
-    int _connFd = -1;   //!< closed in sandbox children
     std::atomic<bool> _shutdown{false};
 };
 
@@ -202,6 +191,8 @@ Server::statusLine()
        << ", \"units_recovered\": " << queue.recoveredUnits
        << ", \"queue_journal_errors\": " << queue.journalErrors
        << ", \"campaigns_shed\": " << queue.shed
+       << ", \"workers\": " << _workers.live()
+       << ", \"worker_spawns\": " << _workers.spawns()
        << ", \"io_ops\": " << io.ops
        << ", \"io_injected\": " << io.injected
        << ", \"draining\": " << (drainRequested() ? 1 : 0) << "}";
@@ -213,63 +204,27 @@ Server::runJob(const JobSpec &job, std::size_t index)
 {
     JobOutcome out;
 
-    auto kind = coreKindFromName(job.core);
-    if (!kind) {
+    // Resolve the job here as well as in the worker: the cache key is
+    // the workload's content hash, and a bad job is a rejection that
+    // never reaches a worker. A kernel name resolves to the daemon's
+    // copy, built by the first job or unit that names it; a submitted
+    // program is assembled and functionally simulated, so a faulting
+    // or non-halting program is a per-job rejection, never a dead
+    // server.
+    auto resolved = resolveJob(job);
+    if (!resolved) {
         out.status = JobStatus::Rejected;
-        out.text = "unknown core '" + job.core + "'";
+        out.text = resolved.error().message();
         return out;
     }
-
-    UarchConfig config = UarchConfig::cray1();
-    if (!job.configJson.empty()) {
-        auto parsed = parseUarchConfig(job.configJson);
-        if (!parsed) {
-            out.status = JobStatus::Rejected;
-            out.text = "bad config: " + parsed.error().message();
-            return out;
-        }
-        config = parsed.take();
-    }
-    if (std::string problem = config.validate(); !problem.empty()) {
-        out.status = JobStatus::Rejected;
-        out.text = "bad config: " + problem;
-        return out;
-    }
-
-    // Resolve the workload here, before the fork: the sandbox child
-    // only reads what it is handed. A kernel name resolves to the
-    // daemon's copy, built by the first job or unit that names it;
-    // submitted programs are assembled and functionally simulated
-    // here, where a faulting or non-halting program is a per-job
-    // rejection, never a dead server.
-    const Workload *resolved = nullptr;
-    Workload built;
-    if (!job.workload.empty()) {
-        resolved = sharedLivermoreWorkload(job.workload);
-        if (!resolved) {
-            out.status = JobStatus::Rejected;
-            out.text = "unknown workload '" + job.workload + "'";
-            return out;
-        }
-    } else {
-        auto checked = workloadFromSourceChecked(
-            job.program, job.name.empty() ? job.id : job.name);
-        if (!checked) {
-            out.status = JobStatus::Rejected;
-            out.text = checked.error().message();
-            return out;
-        }
-        built = checked.take();
-        resolved = &built;
-    }
-    const Workload &workload = *resolved;
+    const Workload &workload = resolved->workload();
 
     CacheKeyInputs inputs;
     inputs.displayName = workload.name;
     inputs.traceFingerprint = workload.contentHash;
     inputs.traceLength = workload.trace().size();
-    inputs.configJson = configToJson(config);
-    inputs.core = coreKindName(*kind);
+    inputs.configJson = configToJson(resolved->config);
+    inputs.core = coreKindName(resolved->kind);
     inputs.period = job.period;
     inputs.engineVersion = engine::kStreamFormatVersion;
     out.key = cacheKey(inputs);
@@ -285,74 +240,17 @@ Server::runJob(const JobSpec &job, std::size_t index)
     }
 
     // Fresh computation, crash-contained: the simulation runs in a
-    // forked child under the job's deadline, so a wedged or crashing
+    // worker process under the job's deadline, so a wedged or crashing
     // run is this job's classification, not the daemon's death.
     unsigned deadline = job.deadlineMs
                             ? static_cast<unsigned>(job.deadlineMs)
                             : _options.defaultDeadlineMs;
     BackoffPolicy policy = _options.spawnBackoff;
     policy.seed = par::jobSeed(_options.seed, index);
-    unsigned retries = 0;
-    inject::SandboxOutcome sandbox = inject::runSandboxedWithRetry(
-        [&](inject::SandboxChannel &channel) {
-            // The child inherited the daemon's sockets. Drop them, or
-            // an in-flight child outliving a SIGKILLed daemon keeps
-            // the listener's inode alive — a client connecting during
-            // the restart window then lands in a backlog nobody will
-            // ever accept and dies of a reset instead of retrying
-            // against the restarted daemon.
-            if (_listenFd >= 0)
-                ::close(_listenFd);
-            if (_connFd >= 0)
-                ::close(_connFd);
-            if (job.period == 0) {
-                auto core = makeCore(*kind, config);
-                RunResult run = core->run(workload.trace());
-                if (!matchesFunctional(run, workload.func))
-                    ruu_fatal("'%s' committed the wrong state "
-                              "(simulator bug)",
-                              workload.name.c_str());
-                channel.send("RES",
-                             runToJson(workload.name, core->name(),
-                                       run, core->stats()));
-            } else {
-                // One cell of the `ruusim storm` sweep, unpruned.
-                trap::StormCell storm(workload, *kind, config);
-                channel.send("RES",
-                             storm.json(storm.run(
-                                 static_cast<Cycle>(job.period), false)));
-            }
-        },
-        deadline, policy, &retries);
-
-    switch (sandbox.status) {
-      case inject::SandboxOutcome::Status::Reported:
-        out.status = JobStatus::Done;
-        out.freshResult = true;
-        out.text = sandbox.resLine;
-        break;
-      case inject::SandboxOutcome::Status::Crashed: {
-        out.status = JobStatus::Crashed;
-        std::string how =
-            sandbox.signal
-                ? std::string("signal ") + strsignal(sandbox.signal)
-                : "exit code " + std::to_string(sandbox.exitCode);
-        out.text = "job process died (" + how + "): " +
-                   tail(sandbox.stderrText, 1000);
-        break;
-      }
-      case inject::SandboxOutcome::Status::TimedOut:
-        out.status = JobStatus::TimedOut;
-        out.text = "deadline (" + std::to_string(deadline) +
-                   " ms) expired";
-        break;
-      case inject::SandboxOutcome::Status::SpawnFailed:
-        out.status = JobStatus::Failed;
-        out.text = "sandbox spawn failed after " +
-                   std::to_string(retries + 1) + " attempts: " +
-                   sandbox.spawnError;
-        break;
-    }
+    JobReply reply = _workers.run(job, deadline, policy);
+    out.status = reply.status;
+    out.freshResult = reply.status == JobStatus::Done;
+    out.text = std::move(reply.text);
     return out;
 }
 
@@ -404,9 +302,8 @@ Server::runInjectUnit(const Lease &lease)
     // replayTrial runs the trial in its own fork sandbox with the
     // watchdog and spawn retries of a real `ruusim inject` campaign,
     // so a crashing trial is this unit's classification, not the
-    // daemon's death. (Unlike runJob's sandbox body, the child has no
-    // hook to drop the daemon's inherited socket fds; the hazard is
-    // bounded by the per-trial deadline.)
+    // daemon's death. (The child inherits the daemon's socket fds;
+    // the hazard is bounded by the per-trial deadline.)
     auto trial = inject::replayTrial(options, lease.unit.trial);
     if (!trial) {
         out.status = JobStatus::Failed;
@@ -883,7 +780,6 @@ Server::run()
         return error;
     }
 
-    _listenFd = listenFd;
     startDispatchers();
 
     Expected<int> result = 0;
@@ -917,9 +813,7 @@ Server::run()
             std::lock_guard<std::mutex> lock(_statsMutex);
             ++_stats.connections;
         }
-        _connFd = fd;
         handleConnection(fd);
-        _connFd = -1;
         ::close(fd);
     }
 
@@ -928,6 +822,7 @@ Server::run()
     // in-flight unit finish and journal, then release the socket.
     _campaignQueue.beginDrain();
     joinDispatchers();
+    _workers.shutdown();
     ::close(listenFd);
     ::unlink(_options.socketPath.c_str());
     {

@@ -5,8 +5,8 @@
  * A daemon on a Unix-domain socket accepting the serve/protocol.hh
  * dialect: clients submit a batch of (program, core, config,
  * schedule) jobs and run it; per-job results stream back in
- * submission order. Every job executes in a fork sandbox
- * (inject/sandbox.hh) under a per-job wall-clock deadline, so a
+ * submission order. Every fresh job executes in a reusable worker
+ * process (serve/worker.hh) under a per-job wall-clock deadline, so a
  * crashing or hanging simulation is classified on its own result line
  * while the daemon keeps serving. Batches run on the deterministic
  * work-stealing pool (par/pool.hh) and commit through the ordered
@@ -69,8 +69,15 @@ struct ServerOptions
     /** Seed for the deterministic spawn-retry jitter streams. */
     std::uint64_t seed = 1;
 
-    /** Sandbox spawn retry schedule (worker replacement). */
+    /** Worker spawn retry schedule (worker replacement). */
     BackoffPolicy spawnBackoff;
+
+    /**
+     * The `ruusim` executable the job workers run (serve/worker.hh):
+     * `ruusim serve` passes /proc/self/exe. Empty: every fresh job
+     * fails, as a spawn failure.
+     */
+    std::string workerPath;
 
     /** Serve at most this many connections, then return; 0 = no cap. */
     std::uint64_t maxConnections = 0;

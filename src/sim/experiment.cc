@@ -9,19 +9,16 @@
 namespace ruu
 {
 
-namespace
-{
-
-/** Run one workload on @p core and verify it; returns the aggregate. */
-AggregateResult
+RunResult
 runOneWorkload(Core &core, const Workload &workload,
-               const UarchConfig &config)
+               const UarchConfig &config, const RunOptions &options)
 {
-    RunResult run = core.run(workload.trace());
+    RunResult run = core.run(workload.trace(), options);
     if (run.interrupted)
         ruu_fatal("workload '%s' unexpectedly interrupted on %s",
                   workload.name.c_str(), core.name());
-    if (!matchesFunctional(run, workload.func))
+    if (!matchesFunctional(run, workload.func) ||
+        run.instructions != workload.trace().size())
         ruu_fatal("workload '%s' committed wrong state on %s "
                   "(simulator bug)",
                   workload.name.c_str(), core.name());
@@ -29,7 +26,7 @@ runOneWorkload(Core &core, const Workload &workload,
     // structural floors: a cycle count below the certified resource
     // bound means the core (or the bound) is broken, and the tables
     // must not be printed from it. The bound is invariant across
-    // pool-size sweep points, so it comes from the process-wide cache.
+    // pool-size sweep points, so it comes from the trace's memo.
     const lint::ResourceBound &bound =
         lint::cachedResourceBound(workload.trace(), config);
     if (run.cycles < bound.cycles)
@@ -40,13 +37,8 @@ runOneWorkload(Core &core, const Workload &workload,
                   static_cast<unsigned long long>(run.cycles),
                   bound.bindingName().c_str(),
                   static_cast<unsigned long long>(bound.cycles));
-    AggregateResult one;
-    one.cycles = run.cycles;
-    one.instructions = run.instructions;
-    return one;
+    return run;
 }
-
-} // namespace
 
 Core &
 SuiteArena::core(CoreKind kind, const UarchConfig &config)
@@ -68,8 +60,9 @@ runSuite(CoreKind kind, const UarchConfig &config,
     return par::mapReduce<AggregateResult>(
         pool, workloads.size(), AggregateResult{},
         [&](std::size_t job, unsigned worker) {
-            return runOneWorkload(arenas[worker].core(kind, config),
-                                  workloads[job], config);
+            RunResult run = runOneWorkload(
+                arenas[worker].core(kind, config), workloads[job], config);
+            return AggregateResult{run.cycles, run.instructions};
         },
         [](AggregateResult &total, const AggregateResult &one,
            std::size_t) {
@@ -137,9 +130,10 @@ sweepPoolSize(CoreKind kind, UarchConfig config,
                 }
                 UarchConfig point_config = config;
                 point_config.poolEntries = sizes[s];
-                AggregateResult one = runOneWorkload(
+                RunResult run = runOneWorkload(
                     arenas[worker].core(kind, point_config), workload,
                     point_config);
+                AggregateResult one{run.cycles, run.instructions};
                 sweep.bySize[s] = one;
                 sweep.simulated[s] = 1;
                 if (prune) {

@@ -95,6 +95,18 @@ class SuiteArena
 };
 
 /**
+ * Run @p workload on @p core (configured by @p config) and verify the
+ * run as every table run is verified; fatal when it is interrupted,
+ * commits other than the functional state or instruction count, or
+ * finishes below its certified resource bound
+ * (lint/resource_bound.hh) — the benches must never report numbers
+ * from a broken simulation.
+ */
+RunResult runOneWorkload(Core &core, const Workload &workload,
+                         const UarchConfig &config,
+                         const RunOptions &options = {});
+
+/**
  * Run every workload on a core of @p kind configured by @p config;
  * fatal when any run fails value verification against its functional
  * execution (the benches must never report numbers from a broken

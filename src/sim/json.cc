@@ -54,9 +54,16 @@ configToJson(const UarchConfig &config)
     os << ", \"tu_entries\": " << config.tuEntries;
     os << ", \"rs_per_fu\": " << config.rsPerFu;
     os << ", \"memory_banks\": " << config.memoryBanks;
+    os << ", \"bank_busy_cycles\": " << config.bankBusyCycles;
+    os << ", \"store_latency\": " << config.storeLatency;
+    os << ", \"forward_latency\": " << config.forwardLatency;
     os << ", \"bypass\": \"" << bypassModeName(config.bypass) << "\"";
     os << ", \"predictor\": \"" << predictorKindName(config.predictor)
        << "\"";
+    os << ", \"predictor_table_bits\": " << config.predictorTableBits;
+    os << ", \"predicted_taken_penalty\": "
+       << config.predictedTakenPenalty;
+    os << ", \"mispredict_penalty\": " << config.mispredictPenalty;
     os << ", \"branch_taken_penalty\": " << config.branchTakenPenalty;
     os << ", \"branch_untaken_penalty\": "
        << config.branchUntakenPenalty;

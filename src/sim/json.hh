@@ -16,7 +16,12 @@
 namespace ruu
 {
 
-/** Serialize @p config as a JSON object. */
+/**
+ * Serialize @p config as a JSON object holding every field
+ * parseUarchConfig reads — all but the checkInvariants debug switch —
+ * so the two round-trip, and the text can tell configs apart (cache
+ * keys, journal headers, core reuse).
+ */
 std::string configToJson(const UarchConfig &config);
 
 /**

@@ -1,5 +1,7 @@
 #include "sim/machine.hh"
 
+#include <algorithm>
+
 #include "asm/parser.hh"
 #include "common/logging.hh"
 #include "core/history_core.hh"
@@ -59,6 +61,20 @@ makeCore(CoreKind kind, const UarchConfig &config)
     ruu_panic("unknown core kind");
 }
 
+void
+compactGolden(FuncResult &func)
+{
+    // Only data initializers and stores write memory, so every word
+    // past the highest of them is zero: no need to scan the image.
+    Addr end = 0;
+    for (const DataInit &init : func.trace.program().dataInits())
+        end = std::max<Addr>(end, init.addr + 1);
+    for (const TraceRecord &record : func.trace.records())
+        if (isStore(record.inst.op))
+            end = std::max<Addr>(end, record.memAddr + 1);
+    func.finalMemory.compact(end);
+}
+
 Expected<Workload>
 makeWorkloadChecked(Program program, const FuncSimOptions &options)
 {
@@ -75,6 +91,7 @@ makeWorkloadChecked(Program program, const FuncSimOptions &options)
     if (!workload.func.halted)
         return Error("program '" + workload.name +
                      "' did not halt within the instruction limit");
+    compactGolden(workload.func);
     workload.contentHash = traceContentHash(workload.trace());
     return workload;
 }

@@ -54,6 +54,11 @@ struct Workload
 {
     std::string name;
     std::shared_ptr<const Program> program;
+
+    /**
+     * The functional run. Its finalMemory is compacted
+     * (compactGolden) by makeWorkload and makeWorkloadChecked.
+     */
     FuncResult func;
 
     /**
@@ -67,6 +72,13 @@ struct Workload
     /** The dynamic trace. */
     const Trace &trace() const { return func.trace; }
 };
+
+/**
+ * Fit @p func's final memory to the highest word its program
+ * initialized or stored (Memory::compact). Its logical contents do not
+ * change; use it only on a golden image that is compared, never run on.
+ */
+void compactGolden(FuncResult &func);
 
 /**
  * Run @p program functionally and wrap the result; an error when the

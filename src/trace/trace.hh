@@ -18,8 +18,13 @@
 #ifndef RUU_TRACE_TRACE_HH
 #define RUU_TRACE_TRACE_HH
 
+#include <atomic>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <typeindex>
+#include <utility>
 #include <vector>
 
 #include "arch/executor.hh"
@@ -41,6 +46,63 @@ struct TraceRecord
     Word storeValue = 0;     //!< value stored (stores)
     bool taken = false;      //!< branch outcome
     Fault fault = Fault::None; //!< injected or organic fault
+};
+
+/** Process-wide lookup/hit counters of one kind of trace artifact. */
+struct ArtifactCounters
+{
+    std::atomic<std::uint64_t> lookups{0};
+    std::atomic<std::uint64_t> hits{0};
+};
+
+/**
+ * The values derived from one trace's content: the compiled stream
+ * (engine/stream.hh) and the lint bounds, each stored under its type
+ * and the configuration fields it reads. A table belongs to its trace
+ * and is freed with the last Trace holding it, so an entry can never
+ * answer for another trace built at the same address. Thread-safe;
+ * entries are never replaced, so a returned artifact stays valid while
+ * the table lives.
+ */
+class TraceArtifacts
+{
+  public:
+    /**
+     * The @p T stored under @p fields, made by @p make on a miss (made
+     * outside the lock: the artifacts are deterministic, so a racing
+     * duplicate is wasted work, not wrong work).
+     */
+    template <class T, class Make>
+    std::shared_ptr<const T> get(std::vector<std::uint64_t> fields,
+                                 ArtifactCounters &counters, Make &&make)
+    {
+        Key key(std::type_index(typeid(T)), std::move(fields));
+        ++counters.lookups;
+        {
+            std::lock_guard<std::mutex> lock(_mutex);
+            auto it = _entries.find(key);
+            if (it != _entries.end()) {
+                ++counters.hits;
+                return std::static_pointer_cast<const T>(it->second);
+            }
+        }
+        std::shared_ptr<const void> made = std::make_shared<T>(make());
+        std::lock_guard<std::mutex> lock(_mutex);
+        _taken = true;
+        return std::static_pointer_cast<const T>(
+            _entries.emplace(std::move(key), std::move(made))
+                .first->second);
+    }
+
+    /** True once any artifact was stored. */
+    bool taken() const { return _taken; }
+
+  private:
+    using Key = std::pair<std::type_index, std::vector<std::uint64_t>>;
+
+    std::mutex _mutex;
+    std::map<Key, std::shared_ptr<const void>> _entries;
+    std::atomic<bool> _taken{false};
 };
 
 /** A complete dynamic execution of one program. */
@@ -74,8 +136,25 @@ class Trace
     /** All records. */
     const std::vector<TraceRecord> &records() const { return _records; }
 
-    /** Append a record (functional simulator only). */
-    void append(TraceRecord record) { _records.push_back(record); }
+    /**
+     * Append a record (functional simulator only). The content
+     * changes, so any artifacts taken, or shared with a copy, are
+     * dropped.
+     */
+    void append(TraceRecord record)
+    {
+        if (!_artifacts || _artifacts.use_count() > 1 ||
+            _artifacts->taken())
+            _artifacts = std::make_shared<TraceArtifacts>();
+        _records.push_back(record);
+    }
+
+    /**
+     * The artifacts derived from this trace. A copy shares its
+     * source's table: fault annotations, the only thing a copy may
+     * change, feed no artifact.
+     */
+    TraceArtifacts &artifacts() const;
 
     /**
      * Annotate dynamic instruction @p seq with @p fault.
@@ -98,6 +177,8 @@ class Trace
   private:
     std::shared_ptr<const Program> _program;
     std::vector<TraceRecord> _records;
+    std::shared_ptr<TraceArtifacts> _artifacts =
+        std::make_shared<TraceArtifacts>();
 };
 
 /**
@@ -109,6 +190,12 @@ class Trace
  * probe by it repeatedly keep it (Workload::contentHash).
  */
 std::uint64_t traceContentHash(const Trace &trace);
+
+/**
+ * Full content hash of @p program: its instructions, data
+ * initializers and handler flag, mixed as traceContentHash mixes them.
+ */
+std::uint64_t programContentHash(const Program &program);
 
 } // namespace ruu
 

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <optional>
 #include <random>
 #include <thread>
 
@@ -22,10 +23,12 @@
 #include "common/flat_json.hh"
 #include "common/io_faults.hh"
 #include "engine/engine.hh"
+#include "engine/stream.hh"
 #include "inject/snapshot.hh"
 #include "kernels/lll.hh"
 #include "isa/encoding.hh"
 #include "lint/analyze.hh"
+#include "lint/dataflow_bound.hh"
 #include "lint/resource_bound.hh"
 #include "lint/wcirt.hh"
 #include "oracle/commit_oracle.hh"
@@ -36,6 +39,7 @@
 #include "sim/machine.hh"
 #include "sim/random_program.hh"
 #include "trap/controller.hh"
+#include "trap/handlers.hh"
 
 namespace ruu
 {
@@ -631,6 +635,68 @@ TEST_P(FuzzSeeds, ContentHashSeparatesEverySingleFieldMutation)
         << "a fault annotation moved the hash";
 }
 
+TEST_P(FuzzSeeds, TraceRebuiltAtAFreedAddressMissesEveryMemo)
+{
+    // False-hit mode for the in-process memos: take every artifact of a
+    // trace, free it, rebuild it in the same storage with one record's
+    // destination register changed (a field no sampled fingerprint
+    // reads), and every memo must compute afresh for the rebuilt trace.
+    Workload w = workload();
+    const Trace &trace = w.trace();
+    const std::size_t step = trace.size() > 64 ? trace.size() / 64 : 1;
+    std::size_t at = kNoSeqNum;
+    for (std::size_t i = 1; i < trace.size() && at == kNoSeqNum; ++i)
+        if (trace.at(i).inst.writesReg() && (step == 1 || i % step))
+            at = i;
+    ASSERT_NE(at, kNoSeqNum);
+
+    std::optional<Trace> slot;
+    auto rebuild = [&](bool mutate) {
+        slot.emplace(trace.programPtr());
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+            TraceRecord record = trace.at(i);
+            if (mutate && i == at)
+                record.inst.dst = RegId(RegFile::T,
+                                        (record.inst.dst.index() + 1) % 64);
+            slot->append(record);
+        }
+        return &*slot;
+    };
+    const UarchConfig config = UarchConfig::cray1();
+    const Program handler = trap::counterHandler();
+    auto takeAll = [&] {
+        auto stream = engine::cachedStream(*slot);
+        lint::cachedDataflowBound(*slot, config);
+        lint::cachedResourceBound(*slot, config);
+        lint::cachedWcirtBound(*slot, handler, config, CoreKind::Ruu);
+        return stream;
+    };
+    auto hits = [] {
+        return engine::streamCacheStats().hits +
+               lint::boundCacheStats().hits +
+               lint::resourceBoundCacheStats().hits +
+               lint::wcirtBoundCacheStats().hits;
+    };
+
+    const Trace *original = rebuild(false);
+    const std::vector<std::int16_t> originalDst = takeAll()->dst;
+    slot.reset();
+    ASSERT_EQ(rebuild(true), original) << "not rebuilt at the same address";
+    const std::uint64_t before = hits();
+    const std::vector<std::int16_t> rebuiltDst = takeAll()->dst;
+    EXPECT_EQ(hits(), before) << "a memo answered for the freed trace";
+
+    EXPECT_NE(rebuiltDst, originalDst);
+    EXPECT_EQ(rebuiltDst, engine::compileStream(*slot).dst);
+    EXPECT_EQ(lint::cachedDataflowBound(*slot, config).cycles,
+              lint::dataflowBound(*slot, config).cycles);
+    EXPECT_EQ(lint::cachedResourceBound(*slot, config).cycles,
+              lint::resourceBound(*slot, config).cycles);
+    EXPECT_EQ(
+        lint::cachedWcirtBound(*slot, handler, config, CoreKind::Ruu).cycles,
+        lint::wcirtBound(*slot, handler, config, CoreKind::Ruu).cycles);
+}
+
 INSTANTIATE_TEST_SUITE_P(ManySeeds, FuzzSeeds, ::testing::Range(0, 24));
 
 TEST(FuzzServe, MalformedRequestsNeverKillTheDaemon)
@@ -642,6 +708,7 @@ TEST(FuzzServe, MalformedRequestsNeverKillTheDaemon)
     // daemon's contract is that protocol errors are per-line
     // diagnostics, never a dead server.
     serve::ServerOptions options;
+    options.workerPath = RUU_WORKER;
     options.socketPath = "./fuzz_serve.sock";
     serve::ServerStats stats;
     std::thread daemon([&] {
@@ -747,6 +814,7 @@ TEST(FuzzServe, HostileCampaignOpsNeverKillTheDaemon)
     // a surviving connection, and a clean campaign must still run
     // afterwards.
     serve::ServerOptions options;
+    options.workerPath = RUU_WORKER;
     options.socketPath = "./fuzz_campaign.sock";
     serve::ServerStats stats;
     std::thread daemon([&] {
@@ -889,6 +957,8 @@ TEST(FuzzServe, SeededIoFaultsNeverKillTheDaemonAndDegradeExplicitly)
     const std::string state = tmpl;
 
     serve::ServerOptions options;
+
+    options.workerPath = RUU_WORKER;
     options.socketPath = state + "/sock";
     options.cacheDir = state + "/cache";
     options.journalPath = state + "/journal.jsonl";

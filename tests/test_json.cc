@@ -55,6 +55,49 @@ TEST(Json, ConfigSerializesEveryKnob)
     EXPECT_NE(json.find("\"fp_recip\": 14"), std::string::npos);
 }
 
+TEST(Json, ConfigRoundTripsEveryField)
+{
+    // Every field set off its default must survive configToJson ->
+    // parseUarchConfig; a field the writer drops comes back as its
+    // default (a served job once lost its mispredict penalty so).
+    const UarchConfig model = UarchConfig::cray1();
+    const std::vector<unsigned UarchConfig::*> numbers = {
+        &UarchConfig::storeLatency,       &UarchConfig::forwardLatency,
+        &UarchConfig::branchTakenPenalty, &UarchConfig::branchUntakenPenalty,
+        &UarchConfig::loadRegisters,      &UarchConfig::counterBits,
+        &UarchConfig::poolEntries,        &UarchConfig::dispatchPaths,
+        &UarchConfig::commitWidth,        &UarchConfig::resultBuses,
+        &UarchConfig::memoryBanks,        &UarchConfig::bankBusyCycles,
+        &UarchConfig::historyEntries,     &UarchConfig::tuEntries,
+        &UarchConfig::rsPerFu,            &UarchConfig::predictorTableBits,
+        &UarchConfig::predictedTakenPenalty,
+        &UarchConfig::mispredictPenalty,
+    };
+    UarchConfig config = model;
+    for (unsigned UarchConfig::*field : numbers)
+        config.*field += 1;
+    for (unsigned i = 0; i + 1 < kNumFuKinds; ++i) {
+        config.fuLatency[i] += 1;
+        config.fuCount[i] += 1;
+    }
+    config.bypass = BypassMode::FutureFile;
+    config.predictor = PredictorKind::Btfn;
+    ASSERT_EQ(config.validate(), "");
+
+    auto parsed = parseUarchConfig(configToJson(config));
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message();
+    for (std::size_t i = 0; i < numbers.size(); ++i) {
+        EXPECT_NE(config.*numbers[i], model.*numbers[i]);
+        EXPECT_EQ((*parsed).*numbers[i], config.*numbers[i])
+            << "field " << i << " of the list did not round-trip";
+    }
+    EXPECT_EQ(parsed->fuLatency, config.fuLatency);
+    EXPECT_EQ(parsed->fuCount, config.fuCount);
+    EXPECT_EQ(parsed->bypass, config.bypass);
+    EXPECT_EQ(parsed->predictor, config.predictor);
+    EXPECT_EQ(configToJson(*parsed), configToJson(config));
+}
+
 TEST(Json, RunSerializesResultsAndStats)
 {
     const Workload &workload = livermoreWorkloads()[0];

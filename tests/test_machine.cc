@@ -41,6 +41,84 @@ TEST(Machine, WorkloadFromSourceAssemblesAndRuns)
     EXPECT_EQ(workload.func.finalMemory.at(100), 42u);
 }
 
+TEST(Machine, GoldenMemoryIsCompactedToItsLastStore)
+{
+    // The golden image holds words only up to its highest store; it
+    // still spans the full capacity and compares equal to the dense
+    // image a timing run commits.
+    Workload workload = workloadFromSource(R"(
+.program tiny
+    smovi S1, 21
+    amovi A1, 0
+    sts 100(A1), S1
+    sts 7(A1), S1
+    halt
+)");
+    const Memory &golden = workload.func.finalMemory;
+    EXPECT_EQ(golden.sizeWords(), Memory::kDefaultWords);
+    EXPECT_EQ(golden.backedWords(), 101u);
+    EXPECT_EQ(golden.at(Memory::kDefaultWords - 1), 0u);
+    auto core = makeCore(CoreKind::Ruu, UarchConfig{});
+    RunResult run = core->run(workload.trace());
+    EXPECT_EQ(run.memory.backedWords(), Memory::kDefaultWords);
+    EXPECT_TRUE(matchesFunctional(run, workload.func));
+}
+
+TEST(Memory, CompactAndDenseAreEqualExactlyWhenContentsAndCapacityAre)
+{
+    Memory dense(4096);
+    dense.set(10, 5);
+    dense.set(300, 7);
+    Memory compact = dense;
+    compact.compact(301);
+    EXPECT_EQ(compact.backedWords(), 301u);
+    EXPECT_TRUE(compact == dense);
+    EXPECT_TRUE(dense == compact);
+
+    // Reads past the backing are zero; unmapped reads still fault.
+    EXPECT_EQ(compact.load(4000), std::optional<Word>(0));
+    EXPECT_EQ(compact.load(4096), std::nullopt);
+    EXPECT_FALSE(compact.store(4096, 1));
+
+    // A differing word anywhere, inside or past the backing, or a
+    // differing capacity, breaks equality either way round.
+    for (Addr addr : {Addr{10}, Addr{300}, Addr{301}, Addr{4095}}) {
+        Memory other = dense;
+        other.set(addr, 99);
+        EXPECT_FALSE(compact == other) << addr;
+        EXPECT_FALSE(other == compact) << addr;
+    }
+    Memory larger(8192);
+    larger.set(10, 5);
+    larger.set(300, 7);
+    larger.compact(301);
+    EXPECT_FALSE(compact == larger);
+    EXPECT_FALSE(dense == larger);
+
+    // A store past the backing grows it to the full capacity.
+    compact.set(4000, 3);
+    EXPECT_EQ(compact.backedWords(), 4096u);
+    EXPECT_EQ(compact.at(4000), 3u);
+    EXPECT_FALSE(compact == dense);
+    dense.set(4000, 3);
+    EXPECT_TRUE(compact == dense);
+
+    // Two compact images of different backing lengths.
+    Memory shortA(4096), shortB(4096);
+    shortA.set(5, 1);
+    shortB.set(5, 1);
+    shortA.compact(6);
+    EXPECT_TRUE(shortA == shortB);
+    shortB.compact(4096);
+    EXPECT_EQ(shortB.backedWords(), 6u);
+    EXPECT_TRUE(shortA == shortB);
+    Memory empty(4096);
+    empty.compact(4096);
+    EXPECT_EQ(empty.backedWords(), 0u);
+    EXPECT_TRUE(empty == Memory(4096));
+    EXPECT_FALSE(empty == shortA);
+}
+
 TEST(MachineDeath, WorkloadFromBadSourceIsFatal)
 {
     EXPECT_DEATH(workloadFromSource("bogus S1\n"), "assembly");

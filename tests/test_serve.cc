@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +35,7 @@
 #include "serve/queue.hh"
 #include "serve/recovery.hh"
 #include "serve/server.hh"
+#include "serve/worker.hh"
 #include "sim/json.hh"
 #include "sim/machine.hh"
 
@@ -362,6 +364,7 @@ readResult(serve::ServeClient &client)
 TEST_F(ServeDirs, DaemonServesCachesAndSurvivesHostileJobs)
 {
     serve::ServerOptions options;
+    options.workerPath = RUU_WORKER;
     options.socketPath = dir("sock");
     options.cacheDir = dir("cache");
     options.journalPath = dir("journal");
@@ -498,6 +501,12 @@ TEST_F(ServeDirs, DaemonServesCachesAndSurvivesHostileJobs)
               1u);
     EXPECT_EQ(flat::getNumber(*statusObject, "cache_entries").value(),
               3u);
+    // Four misses ran on at most three concurrent workers, all alive.
+    std::uint64_t spawns =
+        flat::getNumber(*statusObject, "worker_spawns").value();
+    EXPECT_GE(spawns, 1u);
+    EXPECT_LE(spawns, 3u);
+    EXPECT_EQ(flat::getNumber(*statusObject, "workers").value(), spawns);
 
     auto gone = client.request("{\"op\": \"shutdown\"}");
     ASSERT_TRUE(gone.ok());
@@ -509,6 +518,7 @@ TEST_F(ServeDirs, DaemonServesCachesAndSurvivesHostileJobs)
 TEST_F(ServeDirs, QueueOverflowShedsWithExplicitVerdict)
 {
     serve::ServerOptions options;
+    options.workerPath = RUU_WORKER;
     options.socketPath = dir("sock");
     options.queueLimit = 2;
     serve::ServerStats stats;
@@ -551,6 +561,7 @@ TEST_F(ServeDirs, QueueOverflowShedsWithExplicitVerdict)
 TEST_F(ServeDirs, DeadlineExpiryClassifiesTheJobNotTheDaemon)
 {
     serve::ServerOptions options;
+    options.workerPath = RUU_WORKER;
     options.socketPath = dir("sock");
     serve::ServerStats stats;
     std::thread daemon([&] {
@@ -623,9 +634,10 @@ TEST_F(ServeDirs, ConcurrentFirstSubmissionsBuildEachKernelOnce)
 {
     // No other test in this file names lll10..lll14, so this batch is
     // the first to resolve them: four concurrent jobs on one kernel
-    // share its single build, and four different kernels build side
-    // by side, each payload still exactly what `ruusim run` prints.
+    // share its single build, and four different kernels resolve at
+    // once, each payload still exactly what `ruusim run` prints.
     serve::ServerOptions options;
+    options.workerPath = RUU_WORKER;
     options.socketPath = dir("sock");
     options.cacheDir = dir("cache");
     options.jobs = 4;
@@ -661,6 +673,7 @@ TEST_F(ServeDirs, ConcurrentFirstSubmissionsBuildEachKernelOnce)
 TEST_F(ServeDirs, UnknownKernelAndOversizedConfigAreRejected)
 {
     serve::ServerOptions options;
+    options.workerPath = RUU_WORKER;
     options.socketPath = dir("sock");
     options.cacheDir = dir("cache");
     serve::ServerStats stats;
@@ -730,6 +743,7 @@ TEST_F(ServeDirs, EditedProgramUnderTheSameNameIsRecomputed)
     // fmul, resubmitted under the same name, was served the cached
     // 364 cycles of the original instead of its own 389.
     serve::ServerOptions options;
+    options.workerPath = RUU_WORKER;
     options.socketPath = dir("sock");
     options.cacheDir = dir("cache");
     options.journalPath = dir("journal");
@@ -783,6 +797,7 @@ TEST_F(ServeDirs, InjectUnitBuildsTheKernelItNames)
     // --replay-trial N --json` printed before kernels were built on
     // first use.
     serve::ServerOptions options;
+    options.workerPath = RUU_WORKER;
     options.socketPath = dir("sock");
     options.cacheDir = dir("cache");
     options.jobs = 2;
@@ -837,6 +852,214 @@ TEST_F(ServeDirs, InjectUnitBuildsTheKernelItNames)
 }
 
 // ---------------------------------------------------------------------
+// Reusable job workers
+
+/** The live `workers` and cumulative `worker_spawns` of a status. */
+std::pair<std::uint64_t, std::uint64_t>
+workerCounts(serve::ServeClient &client)
+{
+    auto status = client.request("{\"op\": \"status\"}");
+    EXPECT_TRUE(status.ok());
+    auto object = flat::parseObject(status.ok() ? *status : "{}");
+    EXPECT_TRUE(object.ok());
+    return {flat::getNumber(*object, "workers").value(),
+            flat::getNumber(*object, "worker_spawns").value()};
+}
+
+/** Worker processes this test process spawned (its daemon thread's). */
+std::vector<pid_t>
+workerPids()
+{
+    std::vector<pid_t> pids;
+    for (const auto &entry : std::filesystem::directory_iterator("/proc")) {
+        const std::string name = entry.path().filename();
+        if (name.find_first_not_of("0123456789") != std::string::npos)
+            continue;
+        std::ifstream cmdline(entry.path() / "cmdline");
+        std::string argv((std::istreambuf_iterator<char>(cmdline)),
+                         std::istreambuf_iterator<char>());
+        std::ifstream stat(entry.path() / "stat");
+        std::string statLine;
+        std::getline(stat, statLine);
+        // ppid is the second field after the parenthesized comm.
+        std::size_t close = statLine.rfind(')');
+        if (close == std::string::npos ||
+            argv.find(serve::kWorkerArg) == std::string::npos)
+            continue;
+        std::istringstream fields(statLine.substr(close + 2));
+        char state;
+        pid_t ppid = 0;
+        fields >> state >> ppid;
+        if (ppid == ::getpid())
+            pids.push_back(static_cast<pid_t>(std::stoi(name)));
+    }
+    return pids;
+}
+
+TEST_F(ServeDirs, WorkerKilledMidJobIsCrashedAndTheNextJobGetsAFreshOne)
+{
+    serve::ServerOptions options;
+    options.workerPath = RUU_WORKER;
+    options.socketPath = dir("sock");
+    options.defaultDeadlineMs = 60'000;
+    serve::ServerStats stats;
+    std::thread daemon([&] {
+        auto result = serve::runServer(options, &stats);
+        EXPECT_TRUE(result.ok()) << result.error().message();
+    });
+    serve::ServeClient client;
+    connectClient(client, options.socketPath);
+    EXPECT_EQ(workerCounts(client),
+              std::make_pair(std::uint64_t{0}, std::uint64_t{0}))
+        << "a worker spawned before the first job";
+
+    // Millions of dynamic instructions: still running when killed.
+    Request slow;
+    slow.op = Op::Submit;
+    slow.job.id = "slow";
+    slow.job.name = "slowpoke";
+    slow.job.program = "  amovi A1, 0\n"
+                       "  amovi A6, 1\n"
+                       "  amovi A5, 2000000\n"
+                       "loop:\n"
+                       "  aadd A1, A1, A6\n"
+                       "  asub A0, A1, A5\n"
+                       "  jam loop\n"
+                       "  halt\n";
+    ASSERT_TRUE(client.request(serve::requestToLine(slow)).ok());
+    ASSERT_TRUE(client.sendLine("{\"op\": \"run\"}").ok());
+    // The daemon simulates the program once for its key before a
+    // worker is spawned: allow for a sanitizer build's slowdown.
+    std::vector<pid_t> pids;
+    for (int i = 0; i < 120'000 && pids.empty(); ++i) {
+        pids = workerPids();
+        if (pids.empty())
+            ::usleep(1000);
+    }
+    EXPECT_EQ(pids.size(), 1u) << "no worker took the job";
+    for (pid_t pid : pids)
+        EXPECT_EQ(::kill(pid, SIGKILL), 0);
+
+    flat::Object result = readResult(client);
+    EXPECT_EQ(flat::getString(result, "status").value(), "crashed");
+    EXPECT_NE(flat::getString(result, "error").value().find("signal"),
+              std::string::npos);
+    readResult(client); // summary
+    EXPECT_EQ(workerCounts(client),
+              std::make_pair(std::uint64_t{0}, std::uint64_t{1}));
+
+    ASSERT_TRUE(client.request(submitLine("next", "lll01")).ok());
+    ASSERT_TRUE(client.sendLine("{\"op\": \"run\"}").ok());
+    result = readResult(client);
+    EXPECT_EQ(flat::getString(result, "status").value(), "done");
+    EXPECT_EQ(flat::getString(result, "payload").value(),
+              coldPayload("lll01"));
+    readResult(client); // summary
+    EXPECT_EQ(workerCounts(client),
+              std::make_pair(std::uint64_t{1}, std::uint64_t{2}));
+
+    ASSERT_TRUE(client.request("{\"op\": \"shutdown\"}").ok());
+    daemon.join();
+    EXPECT_EQ(stats.jobsCrashed, 1u);
+    EXPECT_TRUE(workerPids().empty()) << "a worker outlived the daemon";
+}
+
+TEST_F(ServeDirs, OneWorkerServesAnEditAndResubmitByContent)
+{
+    // No cache, one worker: both programs run in the same process, one
+    // after the other. The edit keeps every pc and address, and sits
+    // at a record no sampled fingerprint reads, so only memos owned by
+    // their trace keep the edited run from the original's stream.
+    serve::ServerOptions options;
+    options.workerPath = RUU_WORKER;
+    options.socketPath = dir("sock");
+    serve::ServerStats stats;
+    std::thread daemon([&] {
+        auto result = serve::runServer(options, &stats);
+        EXPECT_TRUE(result.ok()) << result.error().message();
+    });
+    serve::ServeClient client;
+    connectClient(client, options.socketPath);
+
+    const std::string original = ".program edit\n"
+                                 "    smovi S1, 3\n"
+                                 "    sadd  S3, S1, S1\n"
+                                 "    smovi S2, 1\n"
+                                 "    amovi A1, 0\n"
+                                 "    amovi A6, 1\n"
+                                 "    amovi A5, 60\n"
+                                 "loop:\n"
+                                 "    sadd  S2, S2, S3\n"
+                                 "    aadd  A1, A1, A6\n"
+                                 "    asub  A0, A1, A5\n"
+                                 "    jam   loop\n"
+                                 "    halt\n";
+    std::string edited = original;
+    edited.replace(edited.find("sadd  S3"), 4, "fmul");
+    auto program = [](const std::string &id, const std::string &text) {
+        Request request;
+        request.op = Op::Submit;
+        request.job.id = id;
+        request.job.program = text;
+        request.job.name = "edit.s";
+        return serve::requestToLine(request);
+    };
+    std::vector<flat::Object> results = runBatch(
+        client, {program("original", original), program("edited", edited)});
+    const std::string originalPayload = programPayload(original, "edit.s");
+    const std::string editedPayload = programPayload(edited, "edit.s");
+    ASSERT_NE(originalPayload, editedPayload);
+    EXPECT_EQ(flat::getString(results[0], "payload").value(),
+              originalPayload);
+    EXPECT_EQ(flat::getString(results[1], "payload").value(),
+              editedPayload);
+    EXPECT_EQ(workerCounts(client),
+              std::make_pair(std::uint64_t{1}, std::uint64_t{1}));
+
+    ASSERT_TRUE(client.request("{\"op\": \"shutdown\"}").ok());
+    daemon.join();
+}
+
+TEST_F(ServeDirs, ServedConfigKeepsEveryField)
+{
+    // configToJson once dropped six fields, so a submitted config lost
+    // its mispredict penalty on the way to the daemon.
+    serve::ServerOptions options;
+    options.workerPath = RUU_WORKER;
+    options.socketPath = dir("sock");
+    serve::ServerStats stats;
+    std::thread daemon([&] {
+        auto result = serve::runServer(options, &stats);
+        EXPECT_TRUE(result.ok()) << result.error().message();
+    });
+    serve::ServeClient client;
+    connectClient(client, options.socketPath);
+
+    UarchConfig config = UarchConfig::cray1();
+    config.predictor = PredictorKind::AlwaysNotTaken;
+    config.mispredictPenalty = 30;
+    Request request;
+    request.op = Op::Submit;
+    request.job.id = "penalty";
+    request.job.workload = "lll03";
+    request.job.core = "spec_ruu";
+    request.job.configJson = configToJson(config);
+    std::vector<flat::Object> results =
+        runBatch(client, {serve::requestToLine(request)});
+
+    const Workload &workload = *sharedLivermoreWorkload("lll03");
+    auto core = makeCore(CoreKind::SpecRuu, config);
+    RunResult run = core->run(workload.trace());
+    const std::string want =
+        runToJson(workload.name, core->name(), run, core->stats());
+    EXPECT_EQ(flat::getString(results[0], "payload").value(), want);
+    EXPECT_NE(want.find("\"cycles\": 41001,"), std::string::npos);
+
+    ASSERT_TRUE(client.request("{\"op\": \"shutdown\"}").ok());
+    daemon.join();
+}
+
+// ---------------------------------------------------------------------
 // The headline: SIGKILL mid-batch, restart, byte-identical results.
 
 /** Fork a daemon process; returns its pid. */
@@ -854,6 +1077,7 @@ forkDaemon(const serve::ServerOptions &options)
 TEST_F(ServeDirs, SigkillMidBatchRecoversByteIdentically)
 {
     serve::ServerOptions options;
+    options.workerPath = RUU_WORKER;
     options.socketPath = dir("sock");
     options.cacheDir = dir("cache");
     options.journalPath = dir("journal");
@@ -1344,6 +1568,7 @@ TEST_F(ServeDirs, QueueJournalFailureRefusesAdmissionButDegradesCompletion)
 TEST_F(ServeDirs, DaemonRunsCampaignsEndToEndWithDedupAndCancel)
 {
     serve::ServerOptions options;
+    options.workerPath = RUU_WORKER;
     options.socketPath = dir("sock");
     options.cacheDir = dir("cache");
     options.queuePath = dir("queue.jsonl");
@@ -1478,6 +1703,7 @@ TEST_F(ServeDirs, DaemonRunsCampaignsEndToEndWithDedupAndCancel)
 TEST_F(ServeDirs, InjectCampaignUnitsMatchReplayTrialByteExactly)
 {
     serve::ServerOptions options;
+    options.workerPath = RUU_WORKER;
     options.socketPath = dir("sock");
     options.cacheDir = dir("cache");
     options.queuePath = dir("queue.jsonl");
@@ -1538,6 +1764,7 @@ TEST_F(ServeDirs, InjectCampaignUnitsMatchReplayTrialByteExactly)
 TEST_F(ServeDirs, SigkillMidCampaignRecoversByteIdentically)
 {
     serve::ServerOptions options;
+    options.workerPath = RUU_WORKER;
     options.socketPath = dir("sock");
     options.cacheDir = dir("cache");
     options.queuePath = dir("queue.jsonl");
@@ -1627,6 +1854,8 @@ TEST_F(ServeDirs, JournalPinnedToAnotherCacheIsRefused)
     ASSERT_TRUE(writer.create(dir("journal"), header).ok());
 
     serve::ServerOptions options;
+
+    options.workerPath = RUU_WORKER;
     options.socketPath = dir("sock");
     options.cacheDir = dir("cache");
     options.journalPath = dir("journal");
