@@ -45,6 +45,7 @@
 #include "common/error.hh"
 #include "common/file.hh"
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "engine/engine.hh"
 #include "inject/campaign.hh"
 #include "isa/disasm.hh"
@@ -291,14 +292,24 @@ parsePredictor(const std::string &name)
 unsigned
 parseSize(const std::string &item)
 {
-    bool digits = !item.empty() && item.size() <= 9 &&
-                  std::all_of(item.begin(), item.end(), [](char c) {
-                      return c >= '0' && c <= '9';
-                  });
-    if (!digits)
+    std::optional<std::uint64_t> size = parseDecimal(item, 999'999'999);
+    if (!size)
         cliFail("bad --sizes entry '%s': expected a window size",
                 item.c_str());
-    return static_cast<unsigned>(std::stoul(item));
+    return static_cast<unsigned>(*size);
+}
+
+/** A numeric flag's value: decimal digits only, at most @p max. */
+std::uint64_t
+parseNumber(const std::string &flag, const std::string &text,
+            std::uint64_t max)
+{
+    std::optional<std::uint64_t> n = parseDecimal(text, max);
+    if (!n)
+        cliFail("bad %s value '%s': expected a whole number up to %llu",
+                flag.c_str(), text.c_str(),
+                static_cast<unsigned long long>(max));
+    return *n;
 }
 
 struct Cli
@@ -362,6 +373,10 @@ parseArgs(int argc, char **argv)
                 usage();
             return argv[++i];
         };
+        constexpr std::uint64_t kU32 = UINT32_MAX, kU64 = UINT64_MAX;
+        auto number = [&](std::uint64_t max) {
+            return parseNumber(arg, value(), max);
+        };
         if (arg == "--core") {
             cli.core = parseCore(value());
             cli.coreSet = true;
@@ -370,8 +385,7 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--no-prune") {
             cli.noPrune = true;
         } else if (arg == "--points") {
-            cli.sweepPoints =
-                static_cast<std::size_t>(atoi(value().c_str()));
+            cli.sweepPoints = number(kU32);
             cli.pointsSet = true;
         } else if (arg == "--config") {
             std::string path = value();
@@ -383,22 +397,19 @@ parseArgs(int argc, char **argv)
             }
             cli.config = parsed.take();
         } else if (arg == "--entries") {
-            unsigned n = static_cast<unsigned>(atoi(value().c_str()));
+            auto n = static_cast<unsigned>(number(kU32));
             cli.config.poolEntries = n;
             cli.config.historyEntries = n;
             cli.config.tuEntries = n;
         } else if (arg == "--buses") {
-            cli.config.resultBuses =
-                static_cast<unsigned>(atoi(value().c_str()));
+            cli.config.resultBuses = static_cast<unsigned>(number(kU32));
         } else if (arg == "--banks") {
-            cli.config.memoryBanks =
-                static_cast<unsigned>(atoi(value().c_str()));
+            cli.config.memoryBanks = static_cast<unsigned>(number(kU32));
         } else if (arg == "--load-regs") {
             cli.config.loadRegisters =
-                static_cast<unsigned>(atoi(value().c_str()));
+                static_cast<unsigned>(number(kU32));
         } else if (arg == "--counter-bits") {
-            cli.config.counterBits =
-                static_cast<unsigned>(atoi(value().c_str()));
+            cli.config.counterBits = static_cast<unsigned>(number(kU32));
         } else if (arg == "--bypass") {
             cli.config.bypass = parseBypass(value());
         } else if (arg == "--predictor") {
@@ -411,19 +422,17 @@ parseArgs(int argc, char **argv)
             if (cli.injectCores.empty())
                 usage();
         } else if (arg == "--trials") {
-            cli.trials = std::strtoull(value().c_str(), nullptr, 10);
+            cli.trials = number(kU64);
         } else if (arg == "--seed") {
-            cli.seed = std::strtoull(value().c_str(), nullptr, 10);
+            cli.seed = number(kU64);
         } else if (arg == "--journal") {
             cli.journal = value();
         } else if (arg == "--timeout-ms") {
-            cli.timeoutMs =
-                static_cast<unsigned>(atoi(value().c_str()));
+            cli.timeoutMs = static_cast<unsigned>(number(kU32));
         } else if (arg == "--stop-after") {
-            cli.stopAfter = std::strtoull(value().c_str(), nullptr, 10);
+            cli.stopAfter = number(kU64);
         } else if (arg == "--replay-trial") {
-            cli.replayTrial =
-                std::strtoull(value().c_str(), nullptr, 10);
+            cli.replayTrial = number(kU64);
             cli.replaySet = true;
         } else if (arg == "--bench-out") {
             cli.benchOut = value();
@@ -432,16 +441,13 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--cache") {
             cli.cacheDir = value();
         } else if (arg == "--queue-limit") {
-            cli.queueLimit =
-                static_cast<std::size_t>(atoi(value().c_str()));
+            cli.queueLimit = number(kU32);
         } else if (arg == "--deadline-ms") {
-            cli.deadlineMs =
-                static_cast<unsigned>(atoi(value().c_str()));
+            cli.deadlineMs = static_cast<unsigned>(number(kU32));
         } else if (arg == "--max-connections") {
-            cli.maxConnections =
-                std::strtoull(value().c_str(), nullptr, 10);
+            cli.maxConnections = number(kU64);
         } else if (arg == "--period") {
-            cli.period = std::strtoull(value().c_str(), nullptr, 10);
+            cli.period = number(kU64);
         } else if (arg == "--queue") {
             cli.queuePath = value();
         } else if (arg == "--campaign") {
@@ -456,8 +462,7 @@ parseArgs(int argc, char **argv)
             std::stringstream list(value());
             std::string item;
             while (std::getline(list, item, ','))
-                cli.periods.push_back(
-                    std::strtoull(item.c_str(), nullptr, 10));
+                cli.periods.push_back(parseNumber(arg, item, kU64));
             if (cli.periods.empty())
                 usage();
         } else if (arg == "--status") {

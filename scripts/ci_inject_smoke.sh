@@ -14,7 +14,7 @@ RUUSIM=${1:?usage: $0 <ruusim-binary> [workdir]}
 WORKDIR=${2:-$(mktemp -d)}
 mkdir -p "$WORKDIR"
 
-CORES="ruu,history"
+CORES="tomasulo,rstu,ruu,spec_ruu,history"
 WORKLOAD="lll03"
 TRIALS=64
 SEED=2026

@@ -14,7 +14,7 @@
 
 #include <string>
 
-#include "core/ooo_support.hh"
+#include "core/window_core.hh"
 #include "inject/fault_port.hh"
 
 namespace ruu::inject

@@ -1,8 +1,11 @@
 #include "par/pool.hh"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
+
+#include "common/parse_number.hh"
 
 namespace ruu::par
 {
@@ -55,11 +58,17 @@ consumeJobsFlag(int &argc, char **argv)
             argv[out++] = argv[i];
             continue;
         }
-        if (value) {
-            long n = std::strtol(value, nullptr, 10);
-            if (n > 0)
-                jobs = static_cast<unsigned>(n);
+        std::optional<std::uint64_t> n =
+            value ? parseDecimal(value, kMaxJobs) : std::nullopt;
+        if (!n || *n == 0) {
+            std::fprintf(stderr,
+                         "error: bad %s value '%s': expected a whole "
+                         "number from 1 to %u\n",
+                         arg.rfind("--", 0) == 0 ? "--jobs" : "-j",
+                         value ? value : "", kMaxJobs);
+            std::exit(2);
         }
+        jobs = static_cast<unsigned>(*n);
     }
     argc = out;
     return jobs;

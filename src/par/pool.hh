@@ -67,11 +67,15 @@ std::uint64_t jobSeed(std::uint64_t seed, std::uint64_t index);
  */
 unsigned defaultJobs();
 
+/** The most workers a jobs flag may ask for. */
+inline constexpr unsigned kMaxJobs = 256;
+
 /**
  * Scan argv for a jobs flag — `-j N`, `-jN`, `--jobs N`, `--jobs=N` —
  * and return its value, or defaultJobs() when absent. Recognized
  * arguments are removed from argv (argc is updated in place), so a
- * bench main can call this before its own argument handling.
+ * bench main can call this before its own argument handling. A value
+ * that is not a whole number from 1 to kMaxJobs exits with status 2.
  */
 unsigned consumeJobsFlag(int &argc, char **argv);
 

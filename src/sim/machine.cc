@@ -4,12 +4,8 @@
 
 #include "asm/parser.hh"
 #include "common/logging.hh"
-#include "core/history_core.hh"
-#include "core/rstu_core.hh"
-#include "core/ruu_core.hh"
 #include "core/simple_core.hh"
-#include "core/spec_ruu_core.hh"
-#include "core/tomasulo_core.hh"
+#include "core/window_core.hh"
 
 namespace ruu
 {

@@ -134,7 +134,7 @@ TEST(CliErrors, OversizedConfigurationIsRejectedNotAborted)
     // Both sizes used to reach the cores and die of std::bad_alloc
     // (exit 134); validate() now bounds every buffer size.
     REQUIRE_BINARY();
-    auto flag = runCliStderr("run lll01 --entries 99999999999");
+    auto flag = runCliStderr("run lll01 --entries 5000");
     EXPECT_EQ(flag.first, 2);
     EXPECT_NE(flag.second.find("ruusim: error: bad configuration: "
                                "poolEntries must be at most 4096"),
@@ -153,6 +153,32 @@ TEST(CliErrors, OversizedConfigurationIsRejectedNotAborted)
                                 "poolEntries must be at most 4096"),
               std::string::npos)
         << sizes.second;
+}
+
+TEST(CliErrors, NumericFlagsParseStrictly)
+{
+    // A number with a suffix, a fraction or a sign, or past its
+    // field's range, exits 2 naming the flag and the text, instead of
+    // running on a prefix of it or on a wrapped value.
+    REQUIRE_BINARY();
+    EXPECT_EQ(runCli("run lll01 --buses 2x"), 2);
+    EXPECT_EQ(runCli("sweep lll01 --load-regs 4.5 --sizes 4"), 2);
+    EXPECT_EQ(runCli("inject lll01 --trials 1x"), 2);
+    EXPECT_EQ(runCli("run lll01 --seed -1"), 2);
+    EXPECT_EQ(runCli("run lll01 -j abc"), 2);
+    EXPECT_EQ(runCli("run lll01 -j 0"), 2);
+    // A jobs count is bounded, so no flag asks for thousands of threads.
+    EXPECT_EQ(runCli("run lll01 -j 257"), 2);
+    auto wrapped = runCliStderr("run lll01 --entries 99999999999");
+    EXPECT_EQ(wrapped.first, 2);
+    EXPECT_NE(wrapped.second.find("bad --entries value '99999999999'"),
+              std::string::npos)
+        << wrapped.second;
+    auto jobs = runCliStderr("run lll01 -j abc");
+    EXPECT_NE(jobs.second.find("bad -j value 'abc'"), std::string::npos)
+        << jobs.second;
+    // Well-formed numbers still parse.
+    EXPECT_EQ(runCli("run lll01 --buses 2 --load-regs 4 -j 2"), 0);
 }
 
 TEST(CliErrors, MalformedTraceMagicExitsTwo)

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the §4 history-buffer machine (core/history_core.hh):
+ * Tests for the §4 history-buffer machine (HistoryCore,
+ * core/window_policies.hh):
  * scoreboard interlocks, eager state update with old-value logging,
  * rollback-based precise interrupts and their rollback cost.
  */

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the merged reservation-station/tag-unit core
- * (core/rstu_core.hh): cycle-exact micro-sequences, structural-hazard
- * stalls and multiple register instances.
+ * (RstuCore, core/window_policies.hh): cycle-exact micro-sequences,
+ * structural-hazard stalls and multiple register instances.
  */
 
 #include <gtest/gtest.h>

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the Register Update Unit (core/ruu_core.hh): queue
- * management, NI/LI instance counters and the three bypass variants.
+ * Tests for the Register Update Unit (RuuCore, core/window_policies.hh):
+ * queue management, NI/LI instance counters and the three bypass variants.
  * Precise-interrupt behaviour has its own suite
  * (test_precise_interrupts.cc).
  */

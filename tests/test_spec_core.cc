@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the §7 extension core (core/spec_ruu_core.hh):
+ * Tests for the §7 extension core (SpecRuuCore, core/window_policies.hh):
  * conditional execution from predicted paths, nullification on
  * misprediction, and the predictor design space.
  */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the Tag Unit + distributed reservation-station core
- * (core/tomasulo_core.hh).
+ * (TomasuloCore, core/window_policies.hh).
  */
 
 #include <gtest/gtest.h>
